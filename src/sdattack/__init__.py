@@ -35,7 +35,7 @@ from .build import (
     make_scenario,
     verify_aida_maximality,
 )
-from .game import IDA, InformationState, Node, ida_to_automaton
+from .game import IDA, InformationState, Node
 from .oracle import (
     ClosedLoopConfig,
     Verdict,
@@ -89,7 +89,6 @@ __all__ = [
     "decision_table",
     "deleted",
     "enumerate_attackers",
-    "ida_to_automaton",
     "in_closed_loop",
     "inserted",
     "is_deleted",

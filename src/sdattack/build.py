@@ -6,24 +6,18 @@ control decision, environment states branch over genuine observations,
 deletions and insertions.  Exploration stops at detection (supervisor in
 `dead`) and at goal states (estimate inside the critical set).
 
-`construct_baida` composes the same structure with a reaction-length
+`construct_baida` walks the same structure with a reaction-length
 counter so that bounded attackers can be pruned on it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .alphabet import EditAlphabet, deleted, inserted
-from .automata import (
-    Automaton,
-    EventDecl,
-    ModelError,
-    State,
-    parallel,
-    state_token,
-)
+from .alphabet import EditAlphabet, base_event, deleted, inserted, is_inserted
+from .automata import Automaton, ModelError, State, parallel, state_token
 from .game import (
     E_SIDE,
     S_SIDE,
@@ -32,10 +26,6 @@ from .game import (
     InformationState,
     Node,
     es_successor,
-    gamma_label,
-    ida_to_automaton,
-    is_gamma_label,
-    parse_gamma_label,
     se_successor,
 )
 from .supervisor import DEAD, RTilde, SupervisorRealization, build_rtilde, validate_supervisor
@@ -250,92 +240,63 @@ def verify_aida_maximality(ida: IDA, sc: Scenario) -> bool:
     return not aida_maximality_violations(ida, sc)
 
 
-@dataclass(frozen=True)
-class BoundCounterAutomaton:
-    """Reaction-length counter used to bound attacker reactions.
-
-    Counts symbols the supervisor-side channel attributes to the current
-    reaction: a compromised genuine event or a deletion restarts the count
-    at 1, an uncompromised event resets it to 0, an insertion increments,
-    and insertions are disabled once the bound is hit.  With an unbounded
-    initial burst allowed, a pre-observation state (-1) lets insertions
-    free-run until the first observation.
-    """
-
-    automaton: Automaton
-    n_a: int
-    bound_initial: bool
-
-
 FREE_COUNTER = -1
 
 
-def build_g_bound(
-    plant: Automaton, ea: EditAlphabet, n_a: int, bound_initial: bool = True
-) -> BoundCounterAutomaton:
-    if n_a < 1:
-        raise ModelError("reaction bound must be positive")
-    counters = list(range(n_a + 1))
-    if not bound_initial:
-        counters = [FREE_COUNTER] + counters
-    decls: list[EventDecl] = []
-    for d in plant.events:
-        if not d.observable:
-            continue
-        decls.append(d)
-        if d.name in ea.sigma_a:
-            decls.append(EventDecl(deleted(d.name), True, True))
-            decls.append(EventDecl(inserted(d.name), True, True))
-    trans: dict[tuple[State, str], State] = {}
-    for n in counters:
-        for d in plant.events:
-            e = d.name
-            if not d.observable:
-                continue
-            if e in ea.sigma_a:
-                trans[(n, e)] = 1
-                trans[(n, deleted(e))] = 1
-                if n == FREE_COUNTER:
-                    trans[(n, inserted(e))] = FREE_COUNTER
-                elif n < n_a:
-                    trans[(n, inserted(e))] = n + 1
-            else:
-                trans[(n, e)] = 0
-    return BoundCounterAutomaton(
-        automaton=Automaton(
-            name=f"bound{n_a}",
-            states=tuple(counters),
-            events=tuple(decls),
-            trans=trans,
-            initial=FREE_COUNTER if not bound_initial else 0,
-        ),
-        n_a=n_a,
-        bound_initial=bound_initial,
-    )
+def counter_step(ea: EditAlphabet, n_a: int, n: int, sym: str) -> int | None:
+    """Reaction-length counter after one environment move; None at the bound.
+
+    A compromised genuine event or a deletion restarts the count at 1, an
+    uncompromised event resets it to 0, an insertion increments, and
+    insertions are disabled once the bound is hit.  With an unbounded
+    initial burst allowed, the pre-observation counter (-1) lets insertions
+    free-run until the first observation.
+    """
+    if not is_inserted(sym):
+        return 1 if base_event(sym) in ea.sigma_a else 0
+    if n == FREE_COUNTER:
+        return FREE_COUNTER
+    return n + 1 if n < n_a else None
 
 
 def construct_baida(sc: Scenario, aida: IDA | None = None) -> IDA:
-    """Counter-augmented game: the full game composed with the bound counter."""
+    """Counter-augmented game: the full game walked with the bound counter.
+
+    (node, counter) pairs are discovered breadth-first; an S-state takes its
+    control hop and an E-state its moves in `es_adj` order.
+    """
     if sc.n_a is None or sc.n_a < 1:
         raise ModelError("counter-augmented game needs a positive n_a")
     if aida is None:
         aida = construct_aida(sc)
-    gb = build_g_bound(sc.plant, sc.ea, sc.n_a, sc.bound_initial_insertions)
-    prod = parallel(ida_to_automaton(aida), gb.automaton)
-
-    def lift(x: State) -> Node:
-        node, n = x
-        return Node(node.side, node.info, counter=n)
-
-    s_states = [lift(x) for x in prod.states if x[0].side == S_SIDE]
-    e_states = [lift(x) for x in prod.states if x[0].side == E_SIDE]
+    ea, n_a = sc.ea, sc.n_a
+    s_states: list[Node] = []
+    e_states: list[Node] = []
     h_se: dict[Node, tuple[frozenset[str], Node]] = {}
     h_es: dict[tuple[Node, str], Node] = {}
-    for (src, label), dst in prod.trans.items():
-        if is_gamma_label(label):
-            h_se[lift(src)] = (parse_gamma_label(label), lift(dst))
-        else:
-            h_es[(lift(src), label)] = lift(dst)
+    seen: set[Node] = set()
+    queue: deque[tuple[Node, Node]] = deque()
+
+    def visit(node: Node, n: int) -> Node:
+        x = Node(node.side, node.info, counter=n)
+        if x not in seen:
+            seen.add(x)
+            (s_states if x.side == S_SIDE else e_states).append(x)
+            queue.append((x, node))
+        return x
+
+    x0 = visit(aida.initial, 0 if sc.bound_initial_insertions else FREE_COUNTER)
+    while queue:
+        x, node = queue.popleft()
+        if x.side == S_SIDE:
+            hop = aida.h_se.get(node)
+            if hop is not None:
+                h_se[x] = (hop[0], visit(hop[1], x.counter))
+            continue
+        for sym, dst in aida.es_adj.get(node, ()):
+            n = counter_step(ea, n_a, x.counter, sym)
+            if n is not None:
+                h_es[(x, sym)] = visit(dst, n)
     return IDA(
         name=f"baida({sc.name})",
         ctx=sc.ctx,
@@ -343,5 +304,5 @@ def construct_baida(sc: Scenario, aida: IDA | None = None) -> IDA:
         e_states=e_states,
         h_se=h_se,
         h_es=h_es,
-        initial=lift(prod.initial),
+        initial=x0,
     )

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 no attack exists or verification failed,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
@@ -146,7 +145,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="sdattack",
         description="Synthesize sensor deception attacks on supervisory control loops.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed randomized steps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
@@ -180,8 +178,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.func(args)
     except (ParseError, ModelError, OSError) as exc:

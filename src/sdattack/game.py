@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator
 
-from .alphabet import EditAlphabet, base_event, deleted, inserted, is_deleted, is_inserted
+from .alphabet import EditAlphabet, base_event, deleted, is_deleted, is_inserted
 from .automata import (
     Automaton,
-    EventDecl,
     ModelError,
     State,
     next_states,
@@ -29,21 +27,10 @@ from .supervisor import DEAD, RTilde
 S_SIDE = "S"
 E_SIDE = "E"
 
-GAMMA_PREFIX = "gamma:"
-
 
 def gamma_label(gamma: frozenset[str]) -> str:
-    """Edge label for a control decision, usable as a pseudo-event name."""
-    return GAMMA_PREFIX + ",".join(sorted(gamma))
-
-
-def is_gamma_label(label: str) -> bool:
-    return label.startswith(GAMMA_PREFIX)
-
-
-def parse_gamma_label(label: str) -> frozenset[str]:
-    body = label[len(GAMMA_PREFIX):]
-    return frozenset(body.split(",")) if body else frozenset()
+    """Display label of a control decision hop."""
+    return "gamma:" + ",".join(sorted(gamma))
 
 
 @dataclass(frozen=True)
@@ -99,9 +86,6 @@ class IDA:
     def nodes(self) -> set[Node]:
         return set(self.s_states) | set(self.e_states)
 
-    def es_out(self, z: Node) -> list[tuple[str, Node]]:
-        return [(ev, dst) for (src, ev), dst in self.h_es.items() if src == z]
-
     @cached_property
     def es_adj(self) -> dict[Node, tuple[tuple[str, Node], ...]]:
         adj: dict[Node, list[tuple[str, Node]]] = {z: [] for z in self.e_states}
@@ -114,12 +98,6 @@ class IDA:
             hop = self.h_se.get(a)
             return frozenset() if hop is None else frozenset({gamma_label(hop[0])})
         return frozenset(ev for ev, _ in self.es_adj.get(a, ()))
-
-    def edges(self) -> Iterator[tuple[Node, str, Node]]:
-        for y, (gamma, z) in self.h_se.items():
-            yield y, gamma_label(gamma), z
-        for (z, ev), y in self.h_es.items():
-            yield z, ev, y
 
 
 def se_successor(
@@ -169,18 +147,21 @@ def es_successor(
     return InformationState(moved, nxt_sup)
 
 
-def is_race_free(z: Node, ida: IDA) -> bool:
+def is_race_free(z: Node, ida: IDA, domain: frozenset[str] | None = None) -> bool:
     """No enabled-and-feasible observation may outrun the attacker.
 
     At an E-state every event the supervisor enables and the plant can
     execute must have either its genuine edge or its deletion edge present.
+    `domain`, when given, restricts the check to those events.
     """
     if z.side != E_SIDE:
         raise ModelError("race-freeness is a property of E-states")
     ctx = ida.ctx
     labels = ida.out_labels(z)
-    gamma = ctx.rt.gamma(z.info.sup)
-    for ev in sorted(gamma & ctx.plant.obs_events):
+    events = ctx.rt.gamma(z.info.sup) & ctx.plant.obs_events
+    if domain is not None:
+        events &= domain
+    for ev in events:
         if not next_states(ctx.plant, z.info.plant, ev):
             continue
         if ev in labels:
@@ -249,28 +230,3 @@ def induced_e_state(ida: IDA, s: tuple[str, ...]) -> Node | None:
             return None
         z = hop[1]
     return z
-
-
-def ida_to_automaton(ida: IDA) -> Automaton:
-    """View the game as a plain automaton (decision labels become events)."""
-    plant = ida.ctx.plant
-    ea = ida.ctx.ea
-    glabels = sorted({gamma_label(g) for g, _ in ida.h_se.values()})
-    decls: list[EventDecl] = [EventDecl(g, False, False) for g in glabels]
-    for d in plant.events:
-        if not d.observable:
-            continue
-        decls.append(d)
-        if d.name in ea.sigma_a:
-            decls.append(EventDecl(deleted(d.name), True, True))
-            decls.append(EventDecl(inserted(d.name), True, True))
-    trans: dict[tuple[State, str], State] = {}
-    for src, label, dst in ida.edges():
-        trans[(src, label)] = dst
-    return Automaton(
-        name=ida.name,
-        states=tuple(ida.s_states) + tuple(ida.e_states),
-        events=tuple(decls),
-        trans=trans,
-        initial=ida.initial,
-    )

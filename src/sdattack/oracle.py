@@ -679,22 +679,29 @@ def check_embedding(
 
 
 def _has_insertion_cycle(fa: AttackFunction) -> bool:
+    """Depth-first search for a cycle of insertion edges, without recursion."""
     color: dict[State, int] = {}
-
-    def visit(r: State) -> bool:
-        color[r] = 1
-        for sym, dst in fa.f.out_edges(r):
-            if not is_inserted(sym):
-                continue
-            c = color.get(dst, 0)
-            if c == 1:
-                return True
-            if c == 0 and visit(dst):
-                return True
-        color[r] = 2
-        return False
-
-    return any(color.get(r, 0) == 0 and visit(r) for r in fa.f.states)
+    for root in fa.f.states:
+        if color.get(root, 0):
+            continue
+        color[root] = 1
+        stack = [(root, iter(fa.f.out_edges(root)))]
+        while stack:
+            r, edges = stack[-1]
+            for sym, dst in edges:
+                if not is_inserted(sym):
+                    continue
+                c = color.get(dst, 0)
+                if c == 1:
+                    return True
+                if c == 0:
+                    color[dst] = 1
+                    stack.append((dst, iter(fa.f.out_edges(dst))))
+                    break
+            else:
+                color[r] = 2
+                stack.pop()
+    return False
 
 
 # ---------------------------------------------------------------------------

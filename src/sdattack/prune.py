@@ -18,27 +18,11 @@ Three variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .alphabet import EditAlphabet, deleted, is_deleted, is_inserted
-from .automata import next_states
-from .build import Scenario
-from .game import E_SIDE, IDA, Node, is_gamma_label
+from .alphabet import is_inserted
+from .build import Scenario, construct_baida
+from .game import E_SIDE, IDA, Node, is_race_free
 from .supervisor import DEAD
-
-
-@dataclass(frozen=True)
-class MetaControlPartition:
-    """Split of game edge labels into attacker-owned and environment-owned."""
-
-    controllable: frozenset[str]
-
-    def is_controllable(self, label: str) -> bool:
-        return label in self.controllable
-
-
-def meta_partition(ea: EditAlphabet) -> MetaControlPartition:
-    return MetaControlPartition(frozenset(ea.sigma_a) | ea.editable)
 
 
 @dataclass(frozen=True)
@@ -115,56 +99,20 @@ def drop_dead_supervisor(ida: IDA, name: str | None = None) -> IDA:
     return _restrict(ida, keep, name=name or ida.name)
 
 
-def _race_ok(ida: IDA, z: Node, domain: frozenset[str] | None = None) -> bool:
-    """Race-freeness of one E-state, optionally over a restricted event set."""
-    ctx = ida.ctx
-    labels = ida.out_labels(z)
-    gamma = ctx.rt.gamma(z.info.sup)
-    for ev in gamma & ctx.plant.obs_events:
-        if domain is not None and ev not in domain:
-            continue
-        if not next_states(ctx.plant, z.info.plant, ev):
-            continue
-        if ev in labels:
-            continue
-        if ev in ctx.ea.sigma_a and deleted(ev) in labels:
-            continue
-        return False
-    return True
-
-
-def _uc_labels(labels: frozenset[str], part: MetaControlPartition) -> frozenset[str]:
-    return frozenset(l for l in labels if not part.is_controllable(l))
-
-
 def prune_interruptible(aida: IDA, sc: Scenario) -> PruneResult:
     """Winning region for attackers that may stop editing at any point.
 
     A state that cannot tolerate every uncontrollable move of the full
     game, or an E-state that could be outrun by a feasible observation,
-    is unusable and removed.
+    is unusable and removed: every state counts as at the bound.
     """
-    part = meta_partition(sc.ea)
-    full = _labels(aida)
-    h = drop_dead_supervisor(aida, name=f"isda({sc.name})")
-    rounds = 0
-    while True:
-        rounds += 1
-        cur = _labels(h)
-        keep = {
-            a
-            for a in h.nodes
-            if _uc_labels(full[a], part) <= cur[a]
-        }
-        keep = {
-            a
-            for a in keep
-            if a.side != E_SIDE or _race_ok(h, a)
-        }
-        nxt = _restrict(h, keep, name=h.name)
-        if _same(nxt, h):
-            return PruneResult(nxt, frozenset(), rounds)
-        h = nxt
+    return _prune_flagging(
+        aida,
+        sc,
+        name=f"isda({sc.name})",
+        at_bound=lambda a: True,
+        removal_race_domain=None,
+    )
 
 
 def _prune_flagging(
@@ -174,17 +122,18 @@ def _prune_flagging(
     at_bound: "callable[[Node], bool]",
     removal_race_domain: frozenset[str] | None,
 ) -> PruneResult:
-    """Shared fixpoint for the flag-based prunings.
+    """Shared fixpoint of the three prunings.
 
     States below the bound are flagged on violation and keep insertions;
     states at the bound (`at_bound`) are removed on violation.  For the
-    plain unbounded pruning no state is at the bound.
+    plain unbounded pruning no state is at the bound; for the
+    interruptible pruning every state is.
 
     An E-state whose every move died is removed only when some feasible
     genuine observation can still occur there: if the plant cannot move,
     idling at the state is stealthy, so it stays as a terminal leaf.
     """
-    part = meta_partition(sc.ea)
+    owned = sc.ea.sigma_a | sc.ea.editable
     full = _labels(base)
     h = drop_dead_supervisor(base, name=name)
     flags: frozenset[Node] = frozenset()
@@ -192,18 +141,18 @@ def _prune_flagging(
     while True:
         rounds += 1
         cur = _labels(h)
-        ctrl_bad = {a for a in h.nodes if not _uc_labels(full[a], part) <= cur[a]}
+        ctrl_bad = {a for a in h.nodes if not full[a] - owned <= cur[a]}
         new_flags = flags | {a for a in ctrl_bad if not at_bound(a)}
         keep = {a for a in h.nodes if a not in ctrl_bad or not at_bound(a)}
         keep = {
             a
             for a in keep
-            if cur[a] or not full[a] or (a.side == E_SIDE and _race_ok(h, a))
+            if cur[a] or not full[a] or (a.side == E_SIDE and is_race_free(a, h))
         }
         race_bad = {
             z
             for z in keep
-            if z.side == E_SIDE and not _race_ok(h, z)
+            if z.side == E_SIDE and not is_race_free(z, h)
         }
         if removal_race_domain is not None:
             removable = {
@@ -211,7 +160,7 @@ def _prune_flagging(
                 for z in keep
                 if z.side == E_SIDE
                 and at_bound(z)
-                and not _race_ok(h, z, removal_race_domain)
+                and not is_race_free(z, h, removal_race_domain)
             }
         else:
             removable = {z for z in race_bad if at_bound(z)}
@@ -256,6 +205,4 @@ def prune(aida: IDA, sc: Scenario) -> PruneResult:
         return prune_interruptible(aida, sc)
     if sc.mode == "unbounded":
         return prune_unbounded(aida, sc)
-    from .build import construct_baida
-
     return prune_bounded(construct_baida(sc, aida), sc)

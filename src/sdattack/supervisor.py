@@ -109,10 +109,6 @@ class RTilde:
         return cur
 
 
-def control_decision(rt: RTilde, q: State) -> frozenset[str]:
-    return rt.gamma(q)
-
-
 def build_rtilde(plant: Automaton, sup: SupervisorRealization) -> RTilde:
     """Complete the supervised observer with a dead sink.
 

@@ -94,16 +94,42 @@ def check_shape(fa: AttackFunction) -> None:
                     raise ModelError(f"committed symbol {sym!r} is not an insertion")
                 if (r, sym) not in fa.f.trans:
                     raise ModelError(f"committed insertion {sym!r} missing at state")
-        for r in fa.f.states:
-            if fa.auto_insert.get(r) is not None and fa.chain_from(r) is None:
-                raise ModelError("committed insertion chain never terminates")
-    if fa.mode == "bounded":
-        if fa.n_a is None or fa.n_a < 1:
-            raise ModelError("bounded attack function needs a positive n_a")
-        _check_reaction_bound(fa)
+        lengths = _chain_lengths(fa)
+        if None in lengths.values():
+            raise ModelError("committed insertion chain never terminates")
+        if fa.mode == "bounded":
+            if fa.n_a is None or fa.n_a < 1:
+                raise ModelError("bounded attack function needs a positive n_a")
+            _check_reaction_bound(fa, lengths)
 
 
-def _check_reaction_bound(fa: AttackFunction) -> None:
+def _chain_lengths(fa: AttackFunction) -> dict[State, int | None]:
+    """Length of the committed insertion chain from every state, in one pass.
+
+    None marks a chain that runs into a cycle and so never terminates.
+    Every committed insertion must already be a transition of the encoder.
+    """
+    lengths: dict[State, int | None] = {}
+    for r in fa.f.states:
+        path: list[State] = []
+        on_path: set[State] = set()
+        cur = r
+        while cur not in lengths and cur not in on_path:
+            sym = fa.auto_insert.get(cur)
+            if sym is None:
+                lengths[cur] = 0
+                break
+            path.append(cur)
+            on_path.add(cur)
+            cur = fa.f.trans[(cur, sym)]
+        n = None if cur in on_path else lengths[cur]
+        for x in reversed(path):
+            n = None if n is None else n + 1
+            lengths[x] = n
+    return lengths
+
+
+def _check_reaction_bound(fa: AttackFunction, lengths: dict[State, int]) -> None:
     """Every committed reaction must fit the declared bound.
 
     A reaction to an uncompromised event starts at weight 0, to a
@@ -117,17 +143,11 @@ def _check_reaction_bound(fa: AttackFunction) -> None:
             if is_inserted(sym):
                 continue
             weight = 1 if (is_deleted(sym) or sym in fa.ea.sigma_a) else 0
-            chain = fa.chain_from(dst)
-            if chain is None:
-                raise ModelError("committed insertion chain never terminates")
-            if weight + len(chain) > fa.n_a:
+            if weight + lengths[dst] > fa.n_a:
                 raise ModelError(
-                    f"reaction to {sym!r} has length {weight + len(chain)} > {fa.n_a}"
+                    f"reaction to {sym!r} has length {weight + lengths[dst]} > {fa.n_a}"
                 )
-    start = fa.chain_from(fa.f.initial)
-    if start is None:
-        raise ModelError("initial insertion chain never terminates")
-    if not _free_state(fa.f.initial) and len(start) > fa.n_a:
+    if not _free_state(fa.f.initial) and lengths[fa.f.initial] > fa.n_a:
         raise ModelError(f"initial burst longer than the bound {fa.n_a}")
 
 

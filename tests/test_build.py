@@ -10,9 +10,9 @@ from sdattack.build import (
     Scenario,
     aida_maximality_violations,
     aida_size_bound,
-    build_g_bound,
     construct_aida,
     construct_baida,
+    counter_step,
     make_scenario,
     nominal_critical_reachable,
     verify_aida_maximality,
@@ -189,44 +189,50 @@ class TestMaximalityAudit:
         assert aida_maximality_violations(bad, demo_scenario)
 
 
+def counter_variant(sc, n_a, mode="bounded", **kw) -> Scenario:
+    return Scenario(
+        plant=sc.plant,
+        supervisor=sc.supervisor,
+        ea=sc.ea,
+        x_crit=sc.x_crit,
+        mode=mode,
+        n_a=n_a,
+        name=f"demo-b{n_a}",
+        **kw,
+    )
+
+
 class TestBoundCounter:
     def test_transition_law(self, demo_scenario):
-        gb = build_g_bound(demo_scenario.plant, demo_scenario.ea, 2)
-        t = gb.automaton.trans
-        assert gb.automaton.initial == 0
-        assert gb.automaton.states == (0, 1, 2)
+        ea = demo_scenario.ea
         for n in (0, 1, 2):
-            assert t[(n, "a")] == 0 and t[(n, "c")] == 0
-            assert t[(n, "b")] == 1 and t[(n, "b.del")] == 1
-        assert t[(0, "b.ins")] == 1
-        assert t[(1, "b.ins")] == 2
-        assert (2, "b.ins") not in t
+            assert counter_step(ea, 2, n, "a") == 0
+            assert counter_step(ea, 2, n, "c") == 0
+            assert counter_step(ea, 2, n, "b") == 1
+            assert counter_step(ea, 2, n, "b.del") == 1
+        assert counter_step(ea, 2, 0, "b.ins") == 1
+        assert counter_step(ea, 2, 1, "b.ins") == 2
+        assert counter_step(ea, 2, 2, "b.ins") is None
+        baida = construct_baida(counter_variant(demo_scenario, 2))
+        assert baida.initial.counter == 0
+        assert {a.counter for a in baida.nodes} <= {0, 1, 2}
 
     def test_free_initial_variant(self, demo_scenario):
-        gb = build_g_bound(demo_scenario.plant, demo_scenario.ea, 1, bound_initial=False)
-        t = gb.automaton.trans
-        assert gb.automaton.initial == FREE_COUNTER
-        assert t[(FREE_COUNTER, "b.ins")] == FREE_COUNTER
-        assert t[(FREE_COUNTER, "b")] == 1
-        assert t[(FREE_COUNTER, "a")] == 0
+        ea = demo_scenario.ea
+        assert counter_step(ea, 1, FREE_COUNTER, "b.ins") == FREE_COUNTER
+        assert counter_step(ea, 1, FREE_COUNTER, "b") == 1
+        assert counter_step(ea, 1, FREE_COUNTER, "a") == 0
+        sc = counter_variant(demo_scenario, 1, bound_initial_insertions=False)
+        assert construct_baida(sc).initial.counter == FREE_COUNTER
 
     def test_rejects_nonpositive_bound(self, demo_scenario):
         with pytest.raises(ModelError):
-            build_g_bound(demo_scenario.plant, demo_scenario.ea, 0)
+            construct_baida(counter_variant(demo_scenario, 0, mode="interruptible"))
 
 
 class TestBoundedArena:
     def test_counter_annotated_nodes(self, demo_scenario):
-        sc = Scenario(
-            plant=demo_scenario.plant,
-            supervisor=demo_scenario.supervisor,
-            ea=demo_scenario.ea,
-            x_crit=demo_scenario.x_crit,
-            mode="bounded",
-            n_a=1,
-            name="demo-b1",
-        )
-        baida = construct_baida(sc)
+        baida = construct_baida(counter_variant(demo_scenario, 1))
         tokens = {n.token() for n in baida.nodes}
         assert tokens == {
             "S(0,A)#0",
@@ -248,16 +254,7 @@ class TestBoundedArena:
         assert baida.out_labels(at_bound) == {"a"}
 
     def test_counters_follow_the_law(self, demo_scenario):
-        sc = Scenario(
-            plant=demo_scenario.plant,
-            supervisor=demo_scenario.supervisor,
-            ea=demo_scenario.ea,
-            x_crit=demo_scenario.x_crit,
-            mode="bounded",
-            n_a=2,
-            name="demo-b2",
-        )
-        baida = construct_baida(sc)
+        baida = construct_baida(counter_variant(demo_scenario, 2))
         for (z, sym), y in baida.h_es.items():
             if sym in ("b", "b.del"):
                 assert y.counter == 1

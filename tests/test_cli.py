@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sdattack
 from sdattack.automata import Automaton
 from sdattack.cli import main
 from sdattack.modelio import (
@@ -205,5 +211,36 @@ class TestTopLevel:
             main([])
         assert exc.value.code == 2
 
-    def test_seed_accepted(self, capsys):
-        assert main(["--seed", "7", "validate", CFG]) == 0
+
+class TestCrossProcessDeterminism:
+    COMMANDS = (
+        ["validate"],
+        ["build-rtilde"],
+        ["build-aida"],
+        ["prune"],
+        ["synthesize"],
+        ["synthesize", "--prefer-deletion"],
+        ["verify"],
+        ["export-dot", "--stage", "pruned"],
+    )
+
+    @staticmethod
+    def run(args, hash_seed):
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = str(hash_seed)
+        src = str(Path(sdattack.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = "import sys; from sdattack.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, timeout=60
+        )
+        return done.returncode, done.stdout
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, demo_scenario):
+        bounded = write_variant(
+            tmp_path, demo_scenario, mode="bounded", n_a=2, bound_initial_insertions="false"
+        )
+        for cfg in (CFG, bounded):
+            for cmd in self.COMMANDS:
+                args = [cmd[0], cfg, *cmd[1:]]
+                assert self.run(args, 0) == self.run(args, 1), args

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from sdattack.automata import ModelError, step
+from sdattack.automata import ModelError
 from sdattack.game import (
     E_SIDE,
     IDA,
@@ -13,12 +13,9 @@ from sdattack.game import (
     S_SIDE,
     es_successor,
     gamma_label,
-    ida_to_automaton,
     induced_e_state,
-    is_gamma_label,
     is_race_free,
     is_subsystem,
-    parse_gamma_label,
     se_successor,
     union,
 )
@@ -45,14 +42,8 @@ class TestTokens:
         assert snode(["2"], "A").token() == "S(2,A)"
         assert Node(E_SIDE, info(["1"], "B"), counter=0).token() == "E(1,B)#0"
 
-    def test_gamma_label_round_trip(self):
-        g = frozenset({"b", "a"})
-        label = gamma_label(g)
-        assert label == "gamma:a,b"
-        assert is_gamma_label(label)
-        assert not is_gamma_label("a")
-        assert parse_gamma_label(label) == g
-        assert parse_gamma_label(gamma_label(frozenset())) == frozenset()
+    def test_gamma_label(self):
+        assert gamma_label(frozenset({"b", "a"})) == "gamma:a,b"
 
 
 class TestMoves:
@@ -161,26 +152,3 @@ class TestStructure:
         )
         assert is_subsystem(small, demo_aida)
         assert not is_subsystem(demo_aida, small)
-
-
-class TestAsAutomaton:
-    def test_walks_match_arena_edges(self, demo_aida):
-        aut = ida_to_automaton(demo_aida)
-        assert len(aut.trans) == len(demo_aida.h_se) + len(demo_aida.h_es)
-        walk = (
-            gamma_label(frozenset({"a"})),
-            "a",
-            gamma_label(frozenset({"a", "b"})),
-            "b.ins",
-            gamma_label(frozenset({"a", "c"})),
-            "c",
-        )
-        assert step(aut, aut.initial, walk) == snode(["2"], "A")
-
-    def test_gamma_labels_are_unobservable_decls(self, demo_aida):
-        aut = ida_to_automaton(demo_aida)
-        for d in aut.events:
-            if is_gamma_label(d.name):
-                assert not d.observable and not d.controllable
-            else:
-                assert d.observable

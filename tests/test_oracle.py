@@ -13,6 +13,7 @@ from sdattack.oracle import (
     EnumBounds,
     Explorer,
     OracleBudgetError,
+    _has_insertion_cycle,
     check_embedding,
     check_problem1,
     closed_loop_language,
@@ -238,6 +239,23 @@ class TestEmbedding:
         with pytest.raises(OracleBudgetError):
             check_embedding(fa, isda, 3)
         assert check_embedding(fa, isda, 3, cut=1)
+
+    def test_insertion_cycle_search_is_iterative(self, demo_scenario, demo_attack, demo_aida):
+        def insertion_chain(n: int, closed: bool) -> AttackFunction:
+            states = tuple(f"r{i}" for i in range(n))
+            trans = {(states[i], "b.ins"): states[i + 1] for i in range(n - 1)}
+            if closed:
+                trans[(states[-1], "b.ins")] = states[0]
+            f = Automaton("chain", states, demo_attack.f.events, trans, states[0])
+            return AttackFunction(f, "interruptible", demo_scenario.ea)
+
+        # Far deeper than the interpreter's recursion limit.
+        assert not _has_insertion_cycle(insertion_chain(1200, closed=False))
+        cycle = insertion_chain(2, closed=True)
+        assert _has_insertion_cycle(cycle)
+        isda = prune_interruptible(demo_aida, demo_scenario).ida
+        with pytest.raises(OracleBudgetError):
+            check_embedding(cycle, isda, 3)
 
 
 class TestEnumeration:

@@ -9,7 +9,6 @@ from sdattack.automata import Automaton, EventDecl
 from sdattack.build import Scenario, construct_baida
 from sdattack.game import is_subsystem
 from sdattack.prune import (
-    meta_partition,
     prune,
     prune_bounded,
     prune_interruptible,
@@ -47,14 +46,6 @@ def bounded_variant(sc, n_a):
         n_a=n_a,
         name=f"{sc.name}-b{n_a}",
     )
-
-
-class TestMetaPartition:
-    def test_attacker_owns_compromised_and_edits(self, demo_scenario):
-        part = meta_partition(demo_scenario.ea)
-        assert part.controllable == {"b", "b.ins", "b.del"}
-        assert not part.is_controllable("a")
-        assert not part.is_controllable("c")
 
 
 class TestDropDeadSupervisor:
@@ -184,6 +175,34 @@ class TestBounded:
     def test_rejects_missing_bound(self, demo_scenario, demo_aida):
         with pytest.raises(ValueError):
             prune_bounded(demo_aida, demo_scenario)
+
+
+class TestLiteralBoundedRace:
+    @staticmethod
+    def scenario(literal: bool):
+        # A two-state cycle the supervisor follows exactly; the attacker owns a.
+        events = (EventDecl("a", True, False), EventDecl("b", True, False))
+        plant = Automaton("G", ("0", "1"), events, {("0", "a"): "1", ("1", "b"): "0"}, "0")
+        sup = Automaton("R", ("A", "B"), events, {("A", "a"): "B", ("B", "b"): "A"}, "A")
+        return make_scenario(
+            plant,
+            sup,
+            frozenset({"a"}),
+            frozenset({"1"}),
+            mode="bounded",
+            n_a=1,
+            literal_bounded_race=literal,
+        )
+
+    def test_race_domain_decides_feasibility(self):
+        plain = self.scenario(False)
+        assert not prune(construct_aida(plain), plain).ida.nodes
+        assert not synthesize(plain).feasible
+        literal = self.scenario(True)
+        assert len(prune(construct_aida(literal), literal).ida.nodes) == 8
+        result = synthesize(literal)
+        assert result.feasible
+        assert result.target.token() == "E(1,B)#1"
 
 
 @pytest.fixture()

@@ -9,7 +9,6 @@ from sdattack.supervisor import (
     DEAD,
     _spreadsheet_names,
     build_rtilde,
-    control_decision,
     validate_supervisor,
 )
 
@@ -117,7 +116,6 @@ class TestCompletionRules:
         assert self.rt.gamma("A") == {"a", "u", "v"}
         assert self.rt.gamma("B") == {"a", "b", "u"}
         assert self.rt.gamma(DEAD) == {"a", "u"}
-        assert control_decision(self.rt, "A") == self.rt.gamma("A")
 
     def test_unexpected_uncontrollable_goes_dead(self):
         assert self.rt.mu("B", "a") == DEAD

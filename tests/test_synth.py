@@ -7,7 +7,7 @@ import pytest
 from sdattack.alphabet import EditAlphabet
 from sdattack.automata import Automaton, EventDecl, ModelError
 from sdattack.build import Scenario
-from sdattack.game import is_gamma_label
+from sdattack.modelio import parse_attack
 from sdattack.prune import prune, prune_interruptible
 from sdattack.synth import (
     AttackFunction,
@@ -72,7 +72,7 @@ class TestShortestPath:
             ("E(1,C)", "c", "S(2,A)"),
             ("S(2,A)", "gamma:a", "E(2,A)"),
         ]
-        assert all(is_gamma_label(sym) for a, sym, _ in path if a.side == "S")
+        assert all(sym.startswith("gamma:") for a, sym, _ in path if a.side == "S")
 
     def test_unknown_target_raises(self, isda, demo_aida):
         outside = next(
@@ -269,8 +269,34 @@ class TestShapeChecks:
             trans={("r", "b.ins"): "r"},
             initial="r",
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="never terminates"):
             AttackFunction(f, "unbounded", ea, auto_insert={"r": "b.ins"})
+        # A chain that runs into a cycle further on never terminates either.
+        f = Automaton(
+            name="f",
+            states=("r", "s", "t"),
+            events=(EventDecl("b.ins", True, True),),
+            trans={("r", "b.ins"): "s", ("s", "b.ins"): "t", ("t", "b.ins"): "s"},
+            initial="r",
+        )
+        auto = {"r": "b.ins", "s": "b.ins", "t": "b.ins"}
+        with pytest.raises(ModelError, match="never terminates"):
+            AttackFunction(f, "unbounded", ea, auto_insert=auto)
+
+    def test_long_committed_chain_parses(self):
+        n = 3000
+        lines = [
+            "strategy",
+            "mode unbounded",
+            "automaton F",
+            "event b obs ctrl",
+            "event b.ins obs ctrl",
+        ]
+        lines += [f"state r{i}" + (" initial" if i == 0 else "") for i in range(n)]
+        lines += [f"trans r{i} b.ins r{i + 1}" for i in range(n - 1)]
+        lines += [f"auto r{i} b.ins" for i in range(n - 1)] + [f"auto r{n - 1} -"]
+        fa = parse_attack("\n".join(lines) + "\n", self.ea())
+        assert len(fa.chain_from("r0")) == n - 1
 
     def test_rejects_overlong_bounded_reaction(self):
         ea = self.ea()
@@ -284,7 +310,7 @@ class TestShapeChecks:
             trans={("r", "b"): "s", ("s", "b.ins"): "t"},
             initial="r",
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="has length 2 > 1"):
             AttackFunction(
                 f,
                 "bounded",
