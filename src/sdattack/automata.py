@@ -112,8 +112,12 @@ class Automaton:
     def out_edges(self, x: State) -> tuple[tuple[str, State], ...]:
         return self._out[x]
 
+    @cached_property
+    def _out_events(self) -> dict[State, frozenset[str]]:
+        return {x: frozenset(ev for ev, _ in edges) for x, edges in self._out.items()}
+
     def out_events(self, x: State) -> frozenset[str]:
-        return frozenset(ev for ev, _ in self._out[x])
+        return self._out_events[x]
 
     def succ(self, x: State, ev: str) -> State | None:
         return self.trans.get((x, ev))

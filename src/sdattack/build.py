@@ -100,7 +100,7 @@ def construct_aida(sc: Scenario) -> IDA:
     h_se: dict[Node, tuple[frozenset[str], Node]] = {}
     h_es: dict[tuple[Node, str], Node] = {}
     seen = {y0}
-    queue: list[Node] = [y0]
+    queue: deque[Node] = deque([y0])
 
     def add_s(info: InformationState) -> Node:
         y = Node(S_SIDE, info)
@@ -121,7 +121,7 @@ def construct_aida(sc: Scenario) -> IDA:
         return z
 
     while queue:
-        c = queue.pop(0)
+        c = queue.popleft()
         if c.side == S_SIDE:
             gamma, info = se_successor(rt, plant, c.info)
             h_se[c] = (gamma, add_e(info))

@@ -152,7 +152,8 @@ def is_race_free(z: Node, ida: IDA, domain: frozenset[str] | None = None) -> boo
 
     At an E-state every event the supervisor enables and the plant can
     execute must have either its genuine edge or its deletion edge present.
-    `domain`, when given, restricts the check to those events.
+    `domain`, when given, restricts the check to those events.  Pruning
+    keeps the same test as counts of unmet requirements.
     """
     if z.side != E_SIDE:
         raise ModelError("race-freeness is a property of E-states")

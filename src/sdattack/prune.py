@@ -3,100 +3,137 @@
 The game is treated as a plant under meta-control: the attacker owns its
 own moves (insertions, deletions and letting compromised events through),
 while uncompromised observations and the supervisor's decision hops are
-uncontrollable.  Pruning alternates a controllability pass with a
-race-freeness pass until stable.
+uncontrollable.  A state fails controllability once it has lost an
+uncontrollable move of the full game; an E-state fails race-freeness
+once some feasible observation has lost both its genuine and its
+deletion move.
 
 Three variants:
-  - interruptible: states violating either pass are removed outright,
+  - interruptible: states violating either test are removed outright,
   - unbounded: violators are flagged instead; a flagged state keeps only
     insertion moves, so the attacker commits to inserting its way out
     before the plant produces another observation,
   - bounded: as unbounded on the counter-augmented game, except states at
     the reaction bound cannot insert and are removed like interruptible.
+
+All three run one backward worklist in O(V+E) (attractor computation:
+Zielonka, TCS 1998; Liu & Smolka, ICALP 1998).  Each node keeps counts of
+its live moves, lost uncontrollable moves and unmet race requirements,
+and only nodes whose counts changed are tested again.  Each generation of
+the worklist is tested against the arena the previous one left, so
+removals and flags equal those of testing the whole arena round after
+round.  `PruneResult.rounds` counts the generations; states cut off from
+the initial state are trimmed only at the end, so on large arenas it
+exceeds the number of whole-arena rounds to the same fixpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .alphabet import is_inserted
+from .alphabet import deleted, is_inserted
+from .automata import next_states
 from .build import Scenario, construct_baida
-from .game import E_SIDE, IDA, Node, is_race_free
+from .game import IDA, Node, gamma_label
 from .supervisor import DEAD
 
 
 @dataclass(frozen=True)
 class PruneResult:
+    """A pruned arena and its flagged states.
+
+    `rounds` is the number of worklist generations, counted over the arena
+    with the dead supervisor dropped and before the final reachability
+    trim.
+    """
+
     ida: IDA
     flagged: frozenset[Node]
     rounds: int
 
 
-def _labels(ida: IDA) -> dict[Node, frozenset[str]]:
-    out: dict[Node, frozenset[str]] = {a: ida.out_labels(a) for a in ida.s_states}
-    for z in ida.e_states:
-        out[z] = ida.out_labels(z)
-    return out
+class _Arena:
+    """`base` interned to ints.
 
-
-def _restrict(
-    base: IDA, keep: set[Node], flagged: frozenset[Node] = frozenset(), name: str | None = None
-) -> IDA:
-    """Keep only the given states; flagged states lose all but insertion moves.
-
-    Always re-trims to the part reachable from the initial state.
+    Nodes are the S-states then the E-states, in list order; edges are the
+    control hops then the moves, in dict order.
     """
-    h_se = {
-        y: hop
-        for y, hop in base.h_se.items()
-        if y in keep and hop[1] in keep
-    }
-    h_es = {}
-    for (z, sym), y in base.h_es.items():
-        if z not in keep or y not in keep:
-            continue
-        if z in flagged and not is_inserted(sym):
-            continue
-        h_es[(z, sym)] = y
 
-    reach = {base.initial} if base.initial in keep else set()
-    stack = list(reach)
-    adj: dict[Node, list[Node]] = {}
-    for y, (_, z) in h_se.items():
-        adj.setdefault(y, []).append(z)
-    for (z, _), y in h_es.items():
-        adj.setdefault(z, []).append(y)
-    while stack:
-        cur = stack.pop()
-        for t in adj.get(cur, ()):
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
+    def __init__(self, base: IDA) -> None:
+        self.base = base
+        self.nodes = base.s_states + base.e_states
+        index = {a: i for i, a in enumerate(self.nodes)}
+        self.initial = index.get(base.initial)
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.label: list[str] = []
+        for y, (gamma, z) in base.h_se.items():
+            self.src.append(index[y])
+            self.dst.append(index[z])
+            self.label.append(gamma_label(gamma))
+        for (z, sym), y in base.h_es.items():
+            self.src.append(index[z])
+            self.dst.append(index[y])
+            self.label.append(sym)
+        self.out: list[list[int]] = [[] for _ in self.nodes]
+        self.pred: list[list[int]] = [[] for _ in self.nodes]
+        for e, (s, d) in enumerate(zip(self.src, self.dst)):
+            self.out[s].append(e)
+            self.pred[d].append(e)
 
-    return IDA(
-        name=name or base.name,
-        ctx=base.ctx,
-        s_states=[y for y in base.s_states if y in reach],
-        e_states=[z for z in base.e_states if z in reach],
-        h_se={y: hop for y, hop in h_se.items() if y in reach and hop[1] in reach},
-        h_es={k: v for k, v in h_es.items() if k[0] in reach and v in reach},
-        initial=base.initial,
-    )
+    def reach(self, keep: list[bool], live: list[bool]) -> list[bool]:
+        """Nodes the initial state reaches over live edges (none if it is not kept)."""
+        seen = [False] * len(self.nodes)
+        if self.initial is None or not keep[self.initial]:
+            return seen
+        seen[self.initial] = True
+        stack = [self.initial]
+        while stack:
+            for e in self.out[stack.pop()]:
+                d = self.dst[e]
+                if live[e] and not seen[d]:
+                    seen[d] = True
+                    stack.append(d)
+        return seen
+
+    def part(self, name: str, keep: list[bool], live: list[bool]) -> tuple[IDA, list[bool]]:
+        """The live edges between kept nodes, trimmed to what the initial state reaches.
+
+        Node lists and edge dicts keep the order of `base`.
+        """
+        reach = self.reach(keep, live)
+        base, src = self.base, self.src
+        n_s, n_hops = len(base.s_states), len(base.h_se)
+        ida = IDA(
+            name=name,
+            ctx=base.ctx,
+            s_states=[y for y, r in zip(base.s_states, reach) if r],
+            e_states=[z for z, r in zip(base.e_states, reach[n_s:]) if r],
+            h_se={
+                y: hop
+                for e, (y, hop) in enumerate(base.h_se.items())
+                if live[e] and reach[src[e]]
+            },
+            h_es={
+                key: y
+                for e, (key, y) in enumerate(base.h_es.items(), n_hops)
+                if live[e] and reach[src[e]]
+            },
+            initial=base.initial,
+        )
+        return ida, reach
 
 
-def _same(a: IDA, b: IDA) -> bool:
-    return (
-        set(a.s_states) == set(b.s_states)
-        and set(a.e_states) == set(b.e_states)
-        and a.h_se == b.h_se
-        and a.h_es == b.h_es
-    )
+def _alive_edges(g: _Arena, keep: list[bool]) -> list[bool]:
+    return [keep[s] and keep[d] for s, d in zip(g.src, g.dst)]
 
 
 def drop_dead_supervisor(ida: IDA, name: str | None = None) -> IDA:
     """Drop every state whose supervisor component is the dead sink."""
-    keep = {a for a in ida.nodes if a.info.sup != DEAD}
-    return _restrict(ida, keep, name=name or ida.name)
+    g = _Arena(ida)
+    keep = [a.info.sup != DEAD for a in g.nodes]
+    return g.part(name or ida.name, keep, _alive_edges(g, keep))[0]
 
 
 def prune_interruptible(aida: IDA, sc: Scenario) -> PruneResult:
@@ -119,7 +156,7 @@ def _prune_flagging(
     base: IDA,
     sc: Scenario,
     name: str,
-    at_bound: "callable[[Node], bool]",
+    at_bound: Callable[[Node], bool],
     removal_race_domain: frozenset[str] | None,
 ) -> PruneResult:
     """Shared fixpoint of the three prunings.
@@ -132,45 +169,119 @@ def _prune_flagging(
     An E-state whose every move died is removed only when some feasible
     genuine observation can still occur there: if the plant cannot move,
     idling at the state is stealthy, so it stays as a terminal leaf.
+
+    A race requirement is one feasible observation of an E-state; it is
+    met while its genuine or its deletion move is alive.  When
+    `removal_race_domain` is given, an E-state at the bound is removed
+    only for an unmet requirement on an event of that domain.
     """
+    g = _Arena(base)
+    nodes, src, out, pred = g.nodes, g.src, g.out, g.pred
+    n, n_s = len(nodes), len(base.s_states)
     owned = sc.ea.sigma_a | sc.ea.editable
-    full = _labels(base)
-    h = drop_dead_supervisor(base, name=name)
-    flags: frozenset[Node] = frozenset()
+    uncontrollable = [lab not in owned for lab in g.label]
+    strippable = [not is_inserted(lab) for lab in g.label]
+
+    keep = [a.info.sup != DEAD for a in nodes]
+    live = _alive_edges(g, keep)
+    alive = g.reach(keep, live)
+    live = [ok and alive[s] for ok, s in zip(live, src)]
+
+    live_out = [0] * n
+    lost_uc = [0] * n
+    for e, s in enumerate(src):
+        if live[e]:
+            live_out[s] += 1
+        elif alive[s] and uncontrollable[e]:
+            lost_uc[s] += 1
+
+    ctx = base.ctx
+    plant, sigma_a = ctx.plant, ctx.ea.sigma_a
+    requirement = [-1] * len(src)  # edge -> the requirement it can meet
+    met: list[int] = []  # requirement -> live edges meeting it
+    in_domain: list[bool] = []
+    unmet = [0] * n
+    unmet_domain = [0] * n
+    for z in range(n_s, n):
+        if not alive[z]:
+            continue
+        info = nodes[z].info
+        by_label = {g.label[e]: e for e in out[z]}
+        for ev in ctx.rt.gamma(info.sup) & plant.obs_events:
+            if not next_states(plant, info.plant, ev):
+                continue
+            r = len(met)
+            cover = [by_label.get(ev)]
+            if ev in sigma_a:
+                cover.append(by_label.get(deleted(ev)))
+            count = 0
+            for e in cover:
+                if e is not None:
+                    requirement[e] = r
+                    count += live[e]
+            met.append(count)
+            dom = removal_race_domain is not None and ev in removal_race_domain
+            in_domain.append(dom)
+            if not count:
+                unmet[z] += 1
+                unmet_domain[z] += dom
+
+    def kill(e: int) -> None:
+        live[e] = False
+        s = src[e]
+        live_out[s] -= 1
+        if uncontrollable[e]:
+            lost_uc[s] += 1
+        r = requirement[e]
+        if r >= 0:
+            met[r] -= 1
+            if not met[r]:
+                unmet[s] += 1
+                unmet_domain[s] += in_domain[r]
+
+    bound = [at_bound(a) for a in nodes]
+    flagged = [False] * n
+    work = [a for a in range(n) if alive[a]]
     rounds = 0
-    while True:
+    while work:
         rounds += 1
-        cur = _labels(h)
-        ctrl_bad = {a for a in h.nodes if not full[a] - owned <= cur[a]}
-        new_flags = flags | {a for a in ctrl_bad if not at_bound(a)}
-        keep = {a for a in h.nodes if a not in ctrl_bad or not at_bound(a)}
-        keep = {
-            a
-            for a in keep
-            if cur[a] or not full[a] or (a.side == E_SIDE and is_race_free(a, h))
-        }
-        race_bad = {
-            z
-            for z in keep
-            if z.side == E_SIDE and not is_race_free(z, h)
-        }
-        if removal_race_domain is not None:
-            removable = {
-                z
-                for z in keep
-                if z.side == E_SIDE
-                and at_bound(z)
-                and not is_race_free(z, h, removal_race_domain)
-            }
-        else:
-            removable = {z for z in race_bad if at_bound(z)}
-        keep -= removable
-        new_flags |= {z for z in race_bad if z in keep and not at_bound(z)}
-        nxt = _restrict(h, keep, flagged=new_flags, name=name)
-        if _same(nxt, h) and new_flags == flags:
-            live = nxt.nodes
-            return PruneResult(nxt, frozenset(a for a in new_flags if a in live), rounds)
-        h, flags = nxt, new_flags
+        removed: list[int] = []
+        new_flags: list[int] = []
+        for a in work:
+            lost = lost_uc[a] > 0
+            if lost and bound[a]:
+                removed.append(a)
+                continue
+            racing = unmet[a] > 0
+            # every move lost: an S-state, or an E-state the plant can still leave
+            if not live_out[a] and out[a] and (a < n_s or racing):
+                removed.append(a)
+            elif racing and bound[a]:
+                if removal_race_domain is None or unmet_domain[a]:
+                    removed.append(a)
+            elif (lost or racing) and not flagged[a]:
+                new_flags.append(a)
+        touched: set[int] = set()
+        for a in removed:
+            alive[a] = False
+            for e in out[a]:
+                live[e] = False
+        for a in removed:
+            for e in pred[a]:
+                if live[e]:
+                    kill(e)
+                    touched.add(src[e])
+        for z in new_flags:  # a flagged state keeps its insertions only
+            flagged[z] = True
+            for e in out[z]:
+                if live[e] and strippable[e]:
+                    kill(e)
+            touched.add(z)
+        work = [a for a in touched if alive[a]]
+
+    ida, reach = g.part(name, alive, live)
+    kept_flags = frozenset(nodes[a] for a in range(n) if flagged[a] and reach[a])
+    return PruneResult(ida, kept_flags, rounds)
 
 
 def prune_unbounded(aida: IDA, sc: Scenario) -> PruneResult:

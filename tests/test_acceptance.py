@@ -230,9 +230,11 @@ def test_exhaustive_search_agrees_at_tiny_scale():
     feasibility matches whether the exhaustive search finds a hitting one.
 
     Instances the enumerator refuses on budget grounds are skipped whole:
-    nothing is asserted for them.  The refusal depends only on how many
-    attackers fit the bounds, never on any check outcome, so the skip
-    cannot hide a failure on an instance that completes.
+    nothing is checked or asserted for them.  The refusal depends only on
+    how many attackers fit the bounds, never on any check outcome, so the
+    skip cannot hide a failure on an instance that completes.  The
+    attackers are enumerated in full before any check, so a budget error
+    raised by a check is not mistaken for a refusal.
     """
     bounds = EnumBounds(max_attackers=1500)
     completed = 0
@@ -243,23 +245,22 @@ def test_exhaustive_search_agrees_at_tiny_scale():
         sc = tiny_scenario(Random(seed), name=f"tiny{seed}")
         seed += 1
         try:
-            isda = prune_interruptible(construct_aida(sc), sc).ida
-            result = synthesize(sc)
-            found_hit = False
-            not_embedded: list = []
-            for fa in enumerate_attackers(sc, bounds, certifying_only=True):
-                cfg = ClosedLoopConfig(
-                    sc.plant, sc.rtilde, fa, bounds.horizon, sc.x_crit
-                )
-                verdict = check_problem1(cfg, sc.strength)
-                if not (verdict.admissible and verdict.stealthy):
-                    continue
-                if check_embedding(fa, isda, bounds.horizon):
-                    not_embedded.append(fa)
-                if verdict.ok(sc.strength):
-                    found_hit = True
+            attackers = list(enumerate_attackers(sc, bounds, certifying_only=True))
         except OracleBudgetError:
             continue
+        isda = prune_interruptible(construct_aida(sc), sc).ida
+        result = synthesize(sc)
+        found_hit = False
+        not_embedded: list = []
+        for fa in attackers:
+            cfg = ClosedLoopConfig(sc.plant, sc.rtilde, fa, bounds.horizon, sc.x_crit)
+            verdict = check_problem1(cfg, sc.strength)
+            if not (verdict.admissible and verdict.stealthy):
+                continue
+            if check_embedding(fa, isda, bounds.horizon):
+                not_embedded.append(fa)
+            if verdict.ok(sc.strength):
+                found_hit = True
         assert not_embedded == [], sc.name
         assert found_hit == result.feasible, sc.name
         completed += 1

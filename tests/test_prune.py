@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from random import Random
+
 import pytest
 
 from sdattack import ClosedLoopConfig, check_problem1, construct_aida, make_scenario, synthesize
 from sdattack.automata import Automaton, EventDecl
 from sdattack.build import Scenario, construct_baida
-from sdattack.game import is_subsystem
+from sdattack.game import IDA, is_subsystem
 from sdattack.prune import (
     prune,
     prune_bounded,
@@ -15,7 +18,10 @@ from sdattack.prune import (
     prune_unbounded,
     drop_dead_supervisor,
 )
+from sdattack.randgen import random_scenario
 from sdattack.supervisor import DEAD
+
+from prune_reference import reference_prune
 
 
 def tokens(ida):
@@ -257,3 +263,76 @@ class TestHaltingPlant:
         assert result.feasible
         cfg = ClosedLoopConfig(sc.plant, sc.rtilde, result.attack, 10, sc.x_crit)
         assert check_problem1(cfg, sc.strength).ok(sc.strength)
+
+
+PRUNERS = {
+    "interruptible": prune_interruptible,
+    "unbounded": prune_unbounded,
+    "bounded": prune_bounded,
+}
+
+
+def mode_variants(sc):
+    """The scenario in every attacker mode, each with the arena its pruning takes."""
+    aida = construct_aida(sc)
+    yield replace(sc, mode="interruptible", n_a=None), aida
+    yield replace(sc, mode="unbounded", n_a=None), aida
+    for n_a in (1, 2, 3):
+        for bound_initial in (True, False):
+            for literal in (False, True):
+                var = replace(
+                    sc,
+                    mode="bounded",
+                    n_a=n_a,
+                    bound_initial_insertions=bound_initial,
+                    literal_bounded_race=literal,
+                )
+                yield var, construct_baida(var, aida)
+
+
+def in_order(res):
+    ida = res.ida
+    return (
+        ida.name,
+        ida.s_states,
+        ida.e_states,
+        list(ida.h_se.items()),
+        list(ida.h_es.items()),
+        res.flagged,
+    )
+
+
+def assert_matches_reference(sc):
+    for var, arena in mode_variants(sc):
+        got = PRUNERS[var.mode](arena, var)
+        want = reference_prune(arena, var)
+        assert in_order(got) == in_order(want), (sc.name, var.mode, var.n_a)
+
+
+class TestMatchesRoundBasedReference:
+    """The worklist fixpoint gives the arenas and flags of whole-arena rounds."""
+
+    def test_demo(self, demo_scenario):
+        assert_matches_reference(demo_scenario)
+
+    def test_halting_plant(self, halting_scenario):
+        assert_matches_reference(halting_scenario)
+
+    def test_random_sweep(self):
+        for seed in range(300):
+            assert_matches_reference(
+                random_scenario(Random(seed), max_states=6, name=f"rand{seed}")
+            )
+
+
+class TestEmptyArena:
+    @pytest.mark.parametrize("mode", sorted(PRUNERS))
+    def test_absent_initial_state_gives_empty_arena(self, demo_scenario, demo_aida, mode):
+        # What pruning leaves of an infeasible arena: the initial state is gone.
+        sc = replace(demo_scenario, mode=mode, n_a=1 if mode == "bounded" else None)
+        initial = replace(demo_aida.initial, counter=0 if mode == "bounded" else None)
+        empty = IDA("empty", sc.ctx, [], [], {}, {}, initial)
+        res = PRUNERS[mode](empty, sc)
+        assert not res.ida.nodes
+        assert not res.ida.h_se and not res.ida.h_es
+        assert res.flagged == frozenset()
