@@ -1,0 +1,90 @@
+"""Print one sha256 digest per (config, command) pair of the CLI.
+
+The configs are the demo scenario and `randgen.random_scenario(Random(s),
+max_states=5)` for s in 0..59, each in four attacker modes (interruptible,
+unbounded, bounded with n_a = 1 and 2) and both goal strengths.  Every
+config runs `build-aida`, `prune`, `synthesize`, `verify` and `export-dot`
+(aida and pruned stages) in this process; a digest covers the command's
+stdout and its exit code.  The scenarios are written to a temporary
+directory, so no path reaches the output.
+
+Two checkouts agree on every artifact when this script prints the same
+bytes in both, for example under different hash seeds:
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python3 scripts/artifact_digest.py > a.txt
+    PYTHONHASHSEED=1 PYTHONPATH=<other checkout>/src python3 scripts/artifact_digest.py > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+from random import Random
+
+from sdattack.cli import main as cli_main
+from sdattack.modelio import format_scenario_config, read_scenario, write_automaton
+from sdattack.randgen import random_scenario
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo" / "attack.cfg"
+COUNT = 60  # random scenarios, seeds 0..COUNT-1
+MODES = (("interruptible", None), ("unbounded", None), ("bounded", 1), ("bounded", 2))
+STRENGTHS = ("strong", "weak")
+COMMANDS = (
+    ["build-aida"],
+    ["prune"],
+    ["synthesize"],
+    ["verify"],
+    ["export-dot", "--stage", "aida"],
+    ["export-dot", "--stage", "pruned"],
+)
+
+
+def write_variants(sc, tmp: Path) -> list[tuple[str, Path]]:
+    """The scenario in every mode and strength, as (label, config path) pairs."""
+    folder = tmp / sc.name
+    folder.mkdir()
+    write_automaton(sc.plant, folder / "plant.aut")
+    write_automaton(sc.supervisor.automaton, folder / "supervisor.aut")
+    out = []
+    for mode, n_a in MODES:
+        for strength in STRENGTHS:
+            tag = f"{mode}{n_a or ''}"
+            var = replace(sc, mode=mode, n_a=n_a, strength=strength)
+            cfg = folder / f"{tag}-{strength}.cfg"
+            cfg.write_text(format_scenario_config(var), encoding="utf-8")
+            out.append((f"{sc.name}/{tag}/{strength}", cfg))
+    return out
+
+
+def run(argv: list[str]) -> str:
+    """sha256 of the command's stdout followed by its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return hashlib.sha256(f"{out.getvalue()}\nexit {code}\n".encode()).hexdigest()
+
+
+def main() -> int:
+    scenarios = [read_scenario(DEMO_CONFIG)]
+    scenarios += [
+        random_scenario(Random(s), max_states=5, name=f"rand{s}") for s in range(COUNT)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for sc in scenarios:
+            for label, cfg in write_variants(sc, Path(tmp)):
+                for cmd in COMMANDS:
+                    digest = run([cmd[0], str(cfg), *cmd[1:]])
+                    print(f"{digest} {label} {' '.join(cmd)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -10,6 +10,7 @@ explicit value, never an implicit self loop.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -185,9 +186,9 @@ def observer(a: Automaton) -> Automaton:
     states: list[frozenset[State]] = [init]
     seen = {init}
     trans: dict[tuple[State, str], State] = {}
-    queue = [init]
+    queue = deque([init])
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         for decl in obs_decls:
             nxt = next_states(a, cur, decl.name)
             if not nxt:
@@ -236,9 +237,9 @@ def parallel(a: Automaton, b: Automaton) -> Automaton:
     states: list[State] = [init]
     seen = {init}
     trans: dict[tuple[State, str], State] = {}
-    queue = [init]
+    queue = deque([init])
     while queue:
-        xa, xb = cur = queue.pop(0)
+        xa, xb = cur = queue.popleft()
         for decl in events:
             ev = decl.name
             if ev in shared:
@@ -274,9 +275,9 @@ def parallel(a: Automaton, b: Automaton) -> Automaton:
 def trim_accessible(a: Automaton) -> Automaton:
     """Restriction to states reachable from the initial state."""
     reach = {a.initial}
-    queue = [a.initial]
+    queue = deque([a.initial])
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         for _, dst in a.out_edges(x):
             if dst not in reach:
                 reach.add(dst)

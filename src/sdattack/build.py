@@ -25,8 +25,7 @@ from .game import (
     IDA,
     InformationState,
     Node,
-    es_successor,
-    se_successor,
+    Successors,
 )
 from .supervisor import DEAD, RTilde, SupervisorRealization, build_rtilde, validate_supervisor
 
@@ -91,56 +90,64 @@ def nominal_critical_reachable(sc: Scenario) -> frozenset[State]:
     return frozenset(x for _, x in loop.states if x in sc.x_crit)
 
 
+def _observable_moves(plant: Automaton) -> list[tuple[str, str, str]]:
+    """(event, deletion, insertion) symbols of the observable events, in declaration order."""
+    return [(d.name, deleted(d.name), inserted(d.name)) for d in plant.events if d.observable]
+
+
 def construct_aida(sc: Scenario) -> IDA:
     """Breadth-first construction of the full insertion-deletion game."""
-    rt, plant, ea = sc.rtilde, sc.plant, sc.ea
-    y0 = Node(S_SIDE, InformationState(frozenset({plant.initial}), rt.initial))
+    rt, ea = sc.rtilde, sc.ea
+    succ = Successors(sc.ctx)
+    y0 = Node(S_SIDE, succ.initial())
     s_states: list[Node] = [y0]
     e_states: list[Node] = []
     h_se: dict[Node, tuple[frozenset[str], Node]] = {}
     h_es: dict[tuple[Node, str], Node] = {}
-    seen = {y0}
+    # one node per information state and side
+    s_of: dict[InformationState, Node] = {y0.info: y0}
+    e_of: dict[InformationState, Node] = {}
     queue: deque[Node] = deque([y0])
 
     def add_s(info: InformationState) -> Node:
-        y = Node(S_SIDE, info)
-        if y not in seen:
-            seen.add(y)
+        y = s_of.get(info)
+        if y is None:
+            y = s_of[info] = Node(S_SIDE, info)
             s_states.append(y)
             if info.sup != DEAD:
                 queue.append(y)
         return y
 
     def add_e(info: InformationState) -> Node:
-        z = Node(E_SIDE, info)
-        if z not in seen:
-            seen.add(z)
+        z = e_of.get(info)
+        if z is None:
+            z = e_of[info] = Node(E_SIDE, info)
             e_states.append(z)
             if not info.plant <= sc.x_crit:
                 queue.append(z)
         return z
 
+    moves = _observable_moves(sc.plant)
     while queue:
         c = queue.popleft()
         if c.side == S_SIDE:
-            gamma, info = se_successor(rt, plant, c.info)
+            gamma, info = succ.se_successor(c.info)
             h_se[c] = (gamma, add_e(info))
             continue
         decision = rt.gamma(c.info.sup)
-        for d in plant.events:
-            e = d.name
-            if not d.observable or e not in decision:
+        for e, e_del, e_ins in moves:
+            if e not in decision:
                 continue
-            genuine = es_successor(rt, plant, ea, c.info, e)
+            genuine = succ.genuine(c.info, e)
             if genuine is not None:
                 h_es[(c, e)] = add_s(genuine)
             if e in ea.sigma_a:
-                gone = es_successor(rt, plant, ea, c.info, deleted(e))
+                gone = succ.deletion(c.info, e)
                 if gone is not None:
-                    h_es[(c, deleted(e))] = add_s(gone)
-                faked = es_successor(rt, plant, ea, c.info, inserted(e))
+                    h_es[(c, e_del)] = add_s(gone)
+                faked = succ.insertion(c.info, e)
                 if faked is not None:
-                    h_es[(c, inserted(e))] = add_s(faked)
+                    h_es[(c, e_ins)] = add_s(faked)
 
     return IDA(
         name=f"aida({sc.name})",
@@ -164,9 +171,10 @@ def aida_size_bound(sc: Scenario) -> int:
 
 def aida_maximality_violations(ida: IDA, sc: Scenario) -> list[str]:
     """Why the structure is not the full game (empty list means it is)."""
-    rt, plant, ea = sc.rtilde, sc.plant, sc.ea
+    rt = sc.rtilde
+    succ = Successors(sc.ctx)
     bad: list[str] = []
-    y0 = Node(S_SIDE, InformationState(frozenset({plant.initial}), rt.initial))
+    y0 = Node(S_SIDE, succ.initial())
     if ida.initial != y0:
         bad.append(f"initial state is {ida.initial.token()}, expected {y0.token()}")
         return bad
@@ -188,7 +196,7 @@ def aida_maximality_violations(ida: IDA, sc: Scenario) -> list[str]:
             if t not in reach:
                 reach.add(t)
                 stack.append(t)
-    for a in list(s_set | e_set):
+    for a in dict.fromkeys(ida.s_states + ida.e_states):
         if a not in reach:
             bad.append(f"unreachable state {a.token()}")
 
@@ -202,12 +210,13 @@ def aida_maximality_violations(ida: IDA, sc: Scenario) -> list[str]:
             bad.append(f"missing control hop at {y.token()}")
             continue
         gamma, z = hop
-        want_gamma, want_info = se_successor(rt, plant, y.info)
+        want_gamma, want_info = succ.se_successor(y.info)
         if gamma != want_gamma:
             bad.append(f"wrong decision label at {y.token()}")
         if z.side != E_SIDE or z.info != want_info or z not in e_set:
             bad.append(f"wrong control hop target at {y.token()}")
 
+    moves = _observable_moves(sc.plant)
     for z in ida.e_states:
         stored = dict(ida.es_adj.get(z, ()))
         if z.info.plant <= sc.x_crit:
@@ -215,12 +224,12 @@ def aida_maximality_violations(ida: IDA, sc: Scenario) -> list[str]:
                 bad.append(f"goal state {z.token()} must be terminal")
             continue
         expected: dict[str, InformationState] = {}
-        for d in plant.events:
-            e = d.name
-            if not d.observable or e not in rt.gamma(z.info.sup):
+        decision = rt.gamma(z.info.sup)
+        for syms in moves:
+            if syms[0] not in decision:
                 continue
-            for sym in (e, deleted(e), inserted(e)):
-                info = es_successor(rt, plant, ea, z.info, sym)
+            for sym in syms:
+                info = succ.es_successor(z.info, sym)
                 if info is not None:
                     expected[sym] = info
         if set(stored) != set(expected):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .alphabet import is_deleted, is_inserted
 from .automata import Automaton, State, state_token
 from .game import IDA, Node, S_SIDE, gamma_label
-from .modelio import _ida_order
+from .modelio import _ida_order, _sorted_moves
 from .supervisor import DEAD
 
 
@@ -80,8 +80,7 @@ def ida_dot(
                 f'  {ids[node]} -> {ids[tgt]} [label="{_esc(label)}", color="gray40"];'
             )
         else:
-            for sym in sorted(ida.out_labels(node)):
-                tgt = ida.h_es[(node, sym)]
+            for sym, tgt in _sorted_moves(ida, node):
                 color = "black"
                 if is_deleted(sym):
                     color = "firebrick"

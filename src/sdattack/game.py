@@ -10,7 +10,7 @@ its prunings and their counter-augmented variants are all values of `IDA`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .alphabet import EditAlphabet, base_event, deleted, is_deleted, is_inserted
@@ -22,7 +22,7 @@ from .automata import (
     state_token,
     unobservable_reach,
 )
-from .supervisor import DEAD, RTilde
+from .supervisor import RTilde
 
 S_SIDE = "S"
 E_SIDE = "E"
@@ -33,10 +33,23 @@ def gamma_label(gamma: frozenset[str]) -> str:
     return "gamma:" + ",".join(sorted(gamma))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformationState:
+    """Attacker plant estimate plus supervisor state.
+
+    The hash is computed once, and it is the value the dataclass would
+    generate, so set and dict orders do not depend on storing it.
+    """
+
     plant: frozenset[State]
     sup: State
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.plant, self.sup)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def token(self) -> str:
         inner = ",".join(sorted(state_token(x) for x in self.plant))
@@ -44,11 +57,23 @@ class InformationState:
         return f"({plant},{state_token(self.sup)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
+    """An arena state: side, information state and optional bound counter.
+
+    Hashed once, like `InformationState`, to `hash((side, info, counter))`.
+    """
+
     side: str
     info: InformationState
     counter: int | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.side, self.info, self.counter)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def token(self) -> str:
         tag = self.info.token()
@@ -100,51 +125,98 @@ class IDA:
         return frozenset(ev for ev, _ in self.es_adj.get(a, ()))
 
 
-def se_successor(
-    rt: RTilde, plant: Automaton, info: InformationState
-) -> tuple[frozenset[str], InformationState]:
-    """Supervisor move: issue the decision, close the estimate under it."""
-    gamma = rt.gamma(info.sup)
-    est = unobservable_reach(plant, info.plant, gamma)
-    return gamma, InformationState(est, info.sup)
+class Successors:
+    """The successor rules of the game, memoized for one call.
 
-
-def es_successor(
-    rt: RTilde,
-    plant: Automaton,
-    ea: EditAlphabet,
-    info: InformationState,
-    sym: str,
-) -> InformationState | None:
-    """Environment move on a genuine, inserted or deleted symbol.
-
-    Returns None when the move is not permitted at this information state.
+    Closures are cached per (estimate, decision) and observation steps per
+    (estimate, event); every estimate they return is interned, so equal
+    estimates are one object (hash-consing).  A kernel lives as long as the
+    construction or check that created it: none is kept on a scenario, a
+    context or a module, so every call costs what a one-shot run costs.
     """
-    base = base_event(sym)
-    gamma = rt.gamma(info.sup)
-    if is_inserted(sym):
-        if base not in ea.sigma_a or base not in gamma:
+
+    __slots__ = ("plant", "rt", "ea", "_interned", "_closed", "_moved")
+
+    def __init__(self, ctx: GameContext) -> None:
+        self.plant, self.rt, self.ea = ctx.plant, ctx.rt, ctx.ea
+        self._interned: dict[frozenset[State], frozenset[State]] = {}
+        self._closed: dict[tuple[frozenset[State], frozenset[str]], frozenset[State]] = {}
+        self._moved: dict[tuple[frozenset[State], str], frozenset[State]] = {}
+
+    def initial(self) -> InformationState:
+        """Initial information state: the plant's initial state, unclosed."""
+        est = frozenset({self.plant.initial})
+        return InformationState(self._interned.setdefault(est, est), self.rt.initial)
+
+    def closure(self, est: frozenset[State], gamma: frozenset[str]) -> frozenset[State]:
+        """`unobservable_reach` of the estimate under the decision."""
+        key = (est, gamma)
+        out = self._closed.get(key)
+        if out is None:
+            out = unobservable_reach(self.plant, est, gamma)
+            out = self._closed[key] = self._interned.setdefault(out, out)
+        return out
+
+    def moved(self, est: frozenset[State], ev: str) -> frozenset[State]:
+        """`next_states` of the estimate on an observation (empty if infeasible)."""
+        key = (est, ev)
+        out = self._moved.get(key)
+        if out is None:
+            out = next_states(self.plant, est, ev)
+            out = self._moved[key] = self._interned.setdefault(out, out)
+        return out
+
+    def se_successor(self, info: InformationState) -> tuple[frozenset[str], InformationState]:
+        """Supervisor move: issue the decision, close the estimate under it."""
+        gamma = self.rt.gamma(info.sup)
+        return gamma, InformationState(self.closure(info.plant, gamma), info.sup)
+
+    def genuine(self, info: InformationState, ev: str) -> InformationState | None:
+        """Environment move on the genuine observation `ev`."""
+        if ev not in self.plant.obs_events or ev not in self.rt.gamma(info.sup):
             return None
-        nxt_sup = rt.mu(info.sup, base)
+        moved = self.moved(info.plant, ev)
+        if not moved:
+            return None
+        nxt_sup = self.rt.mu(info.sup, ev)
         if nxt_sup is None:
             return None
-        return InformationState(info.plant, nxt_sup)
-    if is_deleted(sym):
-        if base not in ea.sigma_a or base not in gamma:
+        # left unclosed: the next control hop closes it under the new decision only
+        return InformationState(moved, nxt_sup)
+
+    def deletion(self, info: InformationState, ev: str) -> InformationState | None:
+        """Environment move erasing the compromised observation `ev`."""
+        if ev not in self.ea.sigma_a or ev not in self.rt.gamma(info.sup):
             return None
-        moved = next_states(plant, info.plant, base)
+        moved = self.moved(info.plant, ev)
         if not moved:
             return None
         return InformationState(moved, info.sup)
-    if sym not in plant.obs_events or sym not in gamma:
-        return None
-    moved = next_states(plant, info.plant, sym)
-    if not moved:
-        return None
-    nxt_sup = rt.mu(info.sup, sym)
-    if nxt_sup is None:
-        return None
-    return InformationState(moved, nxt_sup)
+
+    def insertion(self, info: InformationState, ev: str) -> InformationState | None:
+        """Environment move faking the compromised observation `ev`."""
+        if ev not in self.ea.sigma_a or ev not in self.rt.gamma(info.sup):
+            return None
+        nxt_sup = self.rt.mu(info.sup, ev)
+        if nxt_sup is None:
+            return None
+        return InformationState(info.plant, nxt_sup)
+
+    def es_successor(self, info: InformationState, sym: str) -> InformationState | None:
+        """Environment move on a genuine, inserted or deleted symbol.
+
+        Returns None when the move is not permitted at this information state.
+        """
+        if is_inserted(sym):
+            return self.insertion(info, base_event(sym))
+        if is_deleted(sym):
+            return self.deletion(info, base_event(sym))
+        return self.genuine(info, sym)
+
+    def race_events(self, info: InformationState) -> list[str]:
+        """Observations the supervisor enables and the plant can execute."""
+        events = self.rt.gamma(info.sup) & self.plant.obs_events
+        return [ev for ev in events if self.moved(info.plant, ev)]
 
 
 def is_race_free(z: Node, ida: IDA, domain: frozenset[str] | None = None) -> bool:
@@ -157,17 +229,14 @@ def is_race_free(z: Node, ida: IDA, domain: frozenset[str] | None = None) -> boo
     """
     if z.side != E_SIDE:
         raise ModelError("race-freeness is a property of E-states")
-    ctx = ida.ctx
+    sigma_a = ida.ctx.ea.sigma_a
     labels = ida.out_labels(z)
-    events = ctx.rt.gamma(z.info.sup) & ctx.plant.obs_events
-    if domain is not None:
-        events &= domain
-    for ev in events:
-        if not next_states(ctx.plant, z.info.plant, ev):
+    for ev in Successors(ida.ctx).race_events(z.info):
+        if domain is not None and ev not in domain:
             continue
         if ev in labels:
             continue
-        if ev in ctx.ea.sigma_a and deleted(ev) in labels:
+        if ev in sigma_a and deleted(ev) in labels:
             continue
         return False
     return True

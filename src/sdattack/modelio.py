@@ -13,11 +13,13 @@ so equal objects serialize to identical bytes.
 
 from __future__ import annotations
 
+from collections import deque
+from operator import itemgetter
 from pathlib import Path
 
 from .automata import Automaton, EventDecl, ModelError, State, state_token, stringify_states
 from .build import MODES, Scenario, make_scenario
-from .game import IDA, GameContext, InformationState, Node
+from .game import E_SIDE, IDA, GameContext, InformationState, Node
 from .synth import AttackFunction
 
 
@@ -256,31 +258,35 @@ def format_scenario_config(
 # ---------------------------------------------------------------------------
 # arenas
 
+def _sorted_moves(ida: IDA, node: Node) -> list[tuple[str, Node]]:
+    """Out-edges of a node without a control hop, sorted by label."""
+    if node.side != E_SIDE:
+        return []
+    return sorted(ida.es_adj.get(node, ()), key=itemgetter(0))
+
+
 def _ida_order(ida: IDA) -> list[Node]:
     """Deterministic traversal order: BFS, edge labels sorted within a node."""
     order: list[Node] = []
     seen = {ida.initial}
-    queue = [ida.initial]
+    queue = deque([ida.initial])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         order.append(node)
         if node in ida.h_se:
             targets = [ida.h_se[node][1]]
         else:
-            targets = [ida.h_es[(node, sym)] for sym in sorted(ida.out_labels(node))]
+            targets = [tgt for _, tgt in _sorted_moves(ida, node)]
         for tgt in targets:
             if tgt not in seen:
                 seen.add(tgt)
                 queue.append(tgt)
-    for node in ida.nodes:
-        if node not in seen:
-            seen.add(node)
-            order.append(node)
+    # unreachable nodes last, in state order (not set order, which follows the hash seed)
+    order += [node for node in dict.fromkeys(ida.s_states + ida.e_states) if node not in seen]
     return order
 
 
-def _node_line(node_id: str, node: Node) -> str:
-    plant = ",".join(sorted(state_token(x) for x in node.info.plant)) or "-"
+def _node_line(node_id: str, node: Node, plant: str) -> str:
     fields = [
         "node",
         node_id,
@@ -296,9 +302,14 @@ def _node_line(node_id: str, node: Node) -> str:
 def format_ida(ida: IDA, flagged: frozenset[Node] = frozenset()) -> str:
     order = _ida_order(ida)
     ids = {node: f"n{i}" for i, node in enumerate(order)}
+    plants: dict[frozenset[State], str] = {}  # one rendering per distinct estimate
     lines = [f"ida {ida.name}"]
     for node in order:
-        lines.append(_node_line(ids[node], node))
+        est = node.info.plant
+        plant = plants.get(est)
+        if plant is None:
+            plant = plants[est] = ",".join(sorted(state_token(x) for x in est)) or "-"
+        lines.append(_node_line(ids[node], node, plant))
     lines.append(f"initial {ids[ida.initial]}")
     for node in order:
         if node in ida.h_se:
@@ -306,8 +317,8 @@ def format_ida(ida: IDA, flagged: frozenset[Node] = frozenset()) -> str:
             label = ",".join(sorted(gamma)) or "-"
             lines.append(f"edge {ids[node]} gamma {label} {ids[tgt]}")
         else:
-            for sym in sorted(ida.out_labels(node)):
-                lines.append(f"edge {ids[node]} move {sym} {ids[ida.h_es[(node, sym)]]}")
+            for sym, tgt in _sorted_moves(ida, node):
+                lines.append(f"edge {ids[node]} move {sym} {ids[tgt]}")
     for node in order:
         if node in flagged:
             lines.append(f"flag {ids[node]}")
@@ -382,8 +393,8 @@ def parse_ida(
         _fail(source, lines[0][0], "missing ida header")
     if initial is None:
         _fail(source, lines[0][0], "missing initial line")
-    s_states = frozenset(n for n in nodes.values() if n.side == "S")
-    e_states = frozenset(n for n in nodes.values() if n.side == "E")
+    s_states = [n for n in nodes.values() if n.side == "S"]  # in file order
+    e_states = [n for n in nodes.values() if n.side == "E"]
     try:
         ida = IDA(name, ctx, s_states, e_states, h_se, h_es, initial)
     except ModelError as exc:

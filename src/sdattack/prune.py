@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .alphabet import deleted, is_inserted
-from .automata import next_states
 from .build import Scenario, construct_baida
-from .game import IDA, Node, gamma_label
+from .game import IDA, Node, Successors, gamma_label
 from .supervisor import DEAD
 
 
@@ -195,8 +194,8 @@ def _prune_flagging(
         elif alive[s] and uncontrollable[e]:
             lost_uc[s] += 1
 
-    ctx = base.ctx
-    plant, sigma_a = ctx.plant, ctx.ea.sigma_a
+    succ = Successors(base.ctx)
+    sigma_a = base.ctx.ea.sigma_a
     requirement = [-1] * len(src)  # edge -> the requirement it can meet
     met: list[int] = []  # requirement -> live edges meeting it
     in_domain: list[bool] = []
@@ -205,11 +204,8 @@ def _prune_flagging(
     for z in range(n_s, n):
         if not alive[z]:
             continue
-        info = nodes[z].info
         by_label = {g.label[e]: e for e in out[z]}
-        for ev in ctx.rt.gamma(info.sup) & plant.obs_events:
-            if not next_states(plant, info.plant, ev):
-                continue
+        for ev in succ.race_events(nodes[z].info):
             r = len(met)
             cover = [by_label.get(ev)]
             if ev in sigma_a:

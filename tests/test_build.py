@@ -178,6 +178,18 @@ class TestMaximalityAudit:
         bad = self._copy(demo_aida, initial=s(["1"], "B"))
         assert aida_maximality_violations(bad, demo_scenario)
 
+    def test_unreachable_states_listed_in_state_order(self, demo_scenario, demo_aida):
+        # a detected S-state and a goal E-state: terminal, so only unreachable
+        bad = self._copy(
+            demo_aida,
+            s_states=list(demo_aida.s_states) + [s(["1"], DEAD)],
+            e_states=list(demo_aida.e_states) + [e(["2"], "B")],
+        )
+        assert aida_maximality_violations(bad, demo_scenario) == [
+            "unreachable state S(1,dead)",
+            "unreachable state E(2,B)",
+        ]
+
     def test_expanded_dead_state_detected(self, demo_scenario, demo_aida):
         h_se = dict(demo_aida.h_se)
         h_se[s(["0"], DEAD)] = (frozenset({"a"}), e(["0"], DEAD))

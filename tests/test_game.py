@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from random import Random
+
 import pytest
 
-from sdattack.automata import ModelError
+from sdattack.alphabet import deleted, inserted
+from sdattack.automata import ModelError, next_states, unobservable_reach
+from sdattack.build import construct_aida, construct_baida, counter_step
+from sdattack.randgen import random_scenario
 from sdattack.game import (
     E_SIDE,
     IDA,
     InformationState,
     Node,
     S_SIDE,
-    es_successor,
+    Successors,
     gamma_label,
     induced_e_state,
     is_race_free,
     is_subsystem,
-    se_successor,
     union,
 )
 
@@ -49,37 +54,152 @@ class TestTokens:
 class TestMoves:
     def test_supervisor_hop(self, demo_scenario):
         sc = demo_scenario
-        gamma, nxt = se_successor(sc.rtilde, sc.plant, info(["0"], "A"))
+        gamma, nxt = Successors(sc.ctx).se_successor(info(["0"], "A"))
         assert gamma == {"a"}
         assert nxt == info(["0"], "A")
 
     def test_genuine_guard(self, demo_scenario):
         sc = demo_scenario
-        args = (sc.rtilde, sc.plant, sc.ea)
-        assert es_successor(*args, info(["0"], "A"), "a") == info(["1"], "B")
+        es_successor = Successors(sc.ctx).es_successor
+        assert es_successor(info(["0"], "A"), "a") == info(["1"], "B")
         # b is not in the decision at A, c is not feasible at plant state 0.
-        assert es_successor(*args, info(["0"], "A"), "b") is None
-        assert es_successor(*args, info(["1"], "B"), "c") is None
+        assert es_successor(info(["0"], "A"), "b") is None
+        assert es_successor(info(["1"], "B"), "c") is None
 
     def test_insertion_guard(self, demo_scenario):
         sc = demo_scenario
-        args = (sc.rtilde, sc.plant, sc.ea)
+        es_successor = Successors(sc.ctx).es_successor
         # Insertion moves the supervisor only; the plant set stays put.
-        assert es_successor(*args, info(["1"], "B"), "b.ins") == info(["1"], "C")
-        assert es_successor(*args, info(["0"], "A"), "b.ins") is None
+        assert es_successor(info(["1"], "B"), "b.ins") == info(["1"], "C")
+        assert es_successor(info(["0"], "A"), "b.ins") is None
 
     def test_deletion_guard(self, demo_scenario):
         sc = demo_scenario
-        args = (sc.rtilde, sc.plant, sc.ea)
+        es_successor = Successors(sc.ctx).es_successor
         # Deletion moves the plant only; the supervisor stays put.
-        assert es_successor(*args, info(["1"], "B"), "b.del") == info(["3"], "B")
-        assert es_successor(*args, info(["3"], "C"), "b.del") is None
+        assert es_successor(info(["1"], "B"), "b.del") == info(["3"], "B")
+        assert es_successor(info(["3"], "C"), "b.del") is None
 
     def test_uncompromised_events_cannot_be_edited(self, demo_scenario):
         sc = demo_scenario
-        args = (sc.rtilde, sc.plant, sc.ea)
-        assert es_successor(*args, info(["1"], "B"), "a.ins") is None
-        assert es_successor(*args, info(["1"], "B"), "a.del") is None
+        es_successor = Successors(sc.ctx).es_successor
+        assert es_successor(info(["1"], "B"), "a.ins") is None
+        assert es_successor(info(["1"], "B"), "a.del") is None
+
+
+def reference_moves(sc, info):
+    """Every environment move at an information state, by the plain rules."""
+    rt, plant, sigma_a = sc.rtilde, sc.plant, sc.ea.sigma_a
+    decision = rt.gamma(info.sup)
+    out = {}
+    for d in plant.events:
+        e = d.name
+        if not d.observable or e not in decision:
+            continue
+        moved = next_states(plant, info.plant, e)
+        nxt_sup = rt.mu(info.sup, e)
+        if moved and nxt_sup is not None:
+            out[e] = InformationState(moved, nxt_sup)
+        if e in sigma_a and moved:
+            out[deleted(e)] = InformationState(moved, info.sup)
+        if e in sigma_a and nxt_sup is not None:
+            out[inserted(e)] = InformationState(info.plant, nxt_sup)
+    return out
+
+
+class TestSuccessorKernel:
+    @pytest.mark.parametrize("mode", ["interruptible", "unbounded", "bounded"])
+    def test_arena_matches_plain_rules(self, mode):
+        """Every hop and move of the arena, against `unobservable_reach` and `next_states`."""
+        for seed in range(100):
+            sc = random_scenario(
+                Random(seed), max_states=6, mode=mode, n_a=2 if mode == "bounded" else None
+            )
+            aida = construct_aida(sc)
+            arenas = [aida] if mode != "bounded" else [aida, construct_baida(sc, aida)]
+            for ida in arenas:
+                for y, (gamma, z) in ida.h_se.items():
+                    assert gamma == sc.rtilde.gamma(y.info.sup)
+                    est = unobservable_reach(sc.plant, y.info.plant, gamma)
+                    assert z.info == InformationState(est, y.info.sup)
+                for z in ida.e_states:
+                    moves = {sym: y.info for sym, y in ida.es_adj.get(z, ())}
+                    if z.info.plant <= sc.x_crit:
+                        assert not moves
+                        continue
+                    want = reference_moves(sc, z.info)
+                    if z.counter is not None:  # insertions stop at the reaction bound
+                        want = {
+                            sym: tgt
+                            for sym, tgt in want.items()
+                            if counter_step(sc.ea, sc.n_a, z.counter, sym) is not None
+                        }
+                    assert moves == want, (seed, z.token())
+
+    def test_dispatch_matches_plain_rules(self):
+        for seed in range(100):
+            sc = random_scenario(Random(seed), max_states=6)
+            succ = Successors(sc.ctx)
+            for y in construct_aida(sc).nodes:
+                want = reference_moves(sc, y.info)
+                for e in sc.plant.obs_events:
+                    for sym in (e, deleted(e), inserted(e)):
+                        got = succ.es_successor(y.info, sym)
+                        assert got == want.get(sym), (seed, y.token(), sym)
+
+    @pytest.mark.parametrize("mode", ["interruptible", "unbounded", "bounded"])
+    def test_race_events_match_plain_rules(self, mode):
+        """The race requirement of every E-state, against `gamma` and `next_states`."""
+        for seed in range(100):
+            sc = random_scenario(
+                Random(seed), max_states=6, mode=mode, n_a=2 if mode == "bounded" else None
+            )
+            succ = Successors(sc.ctx)
+            for z in construct_aida(sc).e_states:
+                events = sc.rtilde.gamma(z.info.sup) & sc.plant.obs_events
+                want = {ev for ev in events if next_states(sc.plant, z.info.plant, ev)}
+                got = succ.race_events(z.info)
+                assert len(got) == len(set(got)) and set(got) == want, (seed, z.token())
+
+    def test_equal_estimates_are_one_object(self):
+        for seed in range(20):
+            sc = random_scenario(Random(seed), max_states=6)
+            nodes = construct_aida(sc).nodes
+            assert len({id(a.info.plant) for a in nodes}) == len({a.info.plant for a in nodes})
+
+    def test_kernel_is_per_call(self, demo_scenario):
+        a, b = Successors(demo_scenario.ctx), Successors(demo_scenario.ctx)
+        info_a, info_b = a.initial(), b.initial()
+        assert info_a == info_b and info_a.plant is not info_b.plant
+
+
+class TestStoredHash:
+    def test_hash_is_the_dataclass_hash(self, demo_aida):
+        bounded = [replace(a, counter=k) for a in demo_aida.nodes for k in (0, 2)]
+        for a in list(demo_aida.nodes) + bounded:
+            assert hash(a.info) == hash((a.info.plant, a.info.sup))
+            assert hash(a) == hash((a.side, a.info, a.counter))
+
+    def test_equality_ignores_stored_hash(self):
+        x, y = info(["0", "1"], "A"), info(["1", "0"], "A")
+        object.__setattr__(y, "_hash", hash(x) + 1)
+        assert x == y
+        a, b = Node(E_SIDE, x), Node(E_SIDE, y)
+        object.__setattr__(b, "_hash", hash(a) + 1)
+        assert a == b
+        assert a != Node(S_SIDE, x) and a != Node(E_SIDE, x, counter=0)
+        assert x != info(["0"], "A") and x != info(["0", "1"], "B")
+
+    def test_replace_rehashes(self):
+        a = Node(E_SIDE, info(["0"], "A"))
+        b = replace(a, counter=3)
+        assert b == Node(E_SIDE, info(["0"], "A"), counter=3)
+        assert hash(b) == hash((E_SIDE, a.info, 3)) != hash(a)
+        assert replace(b, counter=None) == a and hash(replace(b, counter=None)) == hash(a)
+        assert hash(replace(a.info, sup="B")) == hash((a.info.plant, "B"))
+
+    def test_stored_hash_is_not_shown(self):
+        assert "_hash" not in repr(snode(["0"], "A"))
 
 
 class TestRaceFreedom:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from sdattack.automata import Automaton, EventDecl
-from sdattack.build import Scenario, construct_aida
+from sdattack.build import Scenario, aida_maximality_violations, construct_aida
+from sdattack.game import E_SIDE, IDA, S_SIDE, InformationState, Node
 from sdattack.modelio import (
     ParseError,
     format_attack,
@@ -24,6 +25,7 @@ from sdattack.modelio import (
     write_ida,
 )
 from sdattack.prune import prune_unbounded
+from sdattack.supervisor import DEAD
 from sdattack.synth import synthesize
 
 
@@ -224,6 +226,7 @@ class TestIdaFormat:
         assert again.h_se == demo_aida.h_se
         assert again.h_es == demo_aida.h_es
         assert again.initial == demo_aida.initial
+        assert aida_maximality_violations(again, demo_scenario) == []
         p = tmp_path / "arena.ida"
         write_ida(demo_aida, p)
         loaded, _ = read_ida(p, demo_scenario.ctx)
@@ -253,6 +256,28 @@ class TestIdaFormat:
         again, _ = parse_ida(text, bounded.ctx)
         assert format_ida(again) == text
         assert {n.counter for n in again.nodes} == {0, 1}
+
+    def test_unreachable_nodes_listed_in_state_order(self, demo_aida):
+        # detected S-states and goal E-states that the initial state does not reach
+        extra_s = [Node(S_SIDE, InformationState(frozenset({x}), DEAD)) for x in ("3", "1")]
+        extra_e = [Node(E_SIDE, InformationState(frozenset({"2"}), q)) for q in ("C", "B")]
+        arena = IDA(
+            name=demo_aida.name,
+            ctx=demo_aida.ctx,
+            s_states=demo_aida.s_states + extra_s,
+            e_states=demo_aida.e_states + extra_e,
+            h_se=demo_aida.h_se,
+            h_es=demo_aida.h_es,
+            initial=demo_aida.initial,
+        )
+        nodes = [line.split() for line in format_ida(arena).splitlines() if line.startswith("node")]
+        assert len(nodes) == len(demo_aida.nodes) + 4
+        assert [(side, plant, sup) for _, _, side, plant, sup in nodes[-4:]] == [
+            ("S", "plant=3", f"sup={DEAD}"),
+            ("S", "plant=1", f"sup={DEAD}"),
+            ("E", "plant=2", "sup=C"),
+            ("E", "plant=2", "sup=B"),
+        ]
 
     def test_errors_carry_the_line(self, demo_scenario):
         with pytest.raises(ParseError) as err:
