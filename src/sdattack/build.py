@@ -44,7 +44,6 @@ class Scenario:
     n_a: int | None = None
     strength: str = "strong"
     bound_initial_insertions: bool = True
-    literal_bounded_race: bool = False
     name: str = "scenario"
 
     def __post_init__(self) -> None:

@@ -219,21 +219,18 @@ class Successors:
         return [ev for ev in events if self.moved(info.plant, ev)]
 
 
-def is_race_free(z: Node, ida: IDA, domain: frozenset[str] | None = None) -> bool:
+def is_race_free(z: Node, ida: IDA) -> bool:
     """No enabled-and-feasible observation may outrun the attacker.
 
     At an E-state every event the supervisor enables and the plant can
     execute must have either its genuine edge or its deletion edge present.
-    `domain`, when given, restricts the check to those events.  Pruning
-    keeps the same test as counts of unmet requirements.
+    Pruning keeps the same test as counts of unmet requirements.
     """
     if z.side != E_SIDE:
         raise ModelError("race-freeness is a property of E-states")
     sigma_a = ida.ctx.ea.sigma_a
     labels = ida.out_labels(z)
     for ev in Successors(ida.ctx).race_events(z.info):
-        if domain is not None and ev not in domain:
-            continue
         if ev in labels:
             continue
         if ev in sigma_a and deleted(ev) in labels:
@@ -255,31 +252,6 @@ def is_subsystem(small: IDA, big: IDA) -> bool:
         if big.h_es.get(key) != y:
             return False
     return True
-
-
-def union(a: IDA, b: IDA) -> IDA:
-    """Componentwise union; the two parts must agree where they overlap."""
-    if a.initial != b.initial:
-        raise ModelError("cannot union attack structures with distinct roots")
-    h_se = dict(a.h_se)
-    for y, hop in b.h_se.items():
-        if h_se.setdefault(y, hop) != hop:
-            raise ModelError(f"conflicting control hop at {y.token()}")
-    h_es = dict(a.h_es)
-    for key, y in b.h_es.items():
-        if h_es.setdefault(key, y) != y:
-            raise ModelError(f"conflicting move {key[1]!r} at {key[0].token()}")
-    s_states = list(a.s_states) + [y for y in b.s_states if y not in set(a.s_states)]
-    e_states = list(a.e_states) + [z for z in b.e_states if z not in set(a.e_states)]
-    return IDA(
-        name=f"({a.name}|{b.name})",
-        ctx=a.ctx,
-        s_states=s_states,
-        e_states=e_states,
-        h_se=h_se,
-        h_es=h_es,
-        initial=a.initial,
-    )
 
 
 def induced_e_state(ida: IDA, s: tuple[str, ...]) -> Node | None:

@@ -150,7 +150,6 @@ _SCENARIO_KEYS = {
     "n_a",
     "strength",
     "bound_initial_insertions",
-    "literal_bounded_race",
     "name",
 }
 
@@ -215,10 +214,9 @@ def read_scenario(path: str | Path) -> Scenario:
         if value not in ("strong", "weak"):
             _fail(source, lineno, "strength must be strong or weak")
         kwargs["strength"] = value
-    for key in ("bound_initial_insertions", "literal_bounded_race"):
-        if key in pairs:
-            lineno, value = pairs[key]
-            kwargs[key] = _parse_bool(value, source, lineno)
+    if "bound_initial_insertions" in pairs:
+        lineno, value = pairs["bound_initial_insertions"]
+        kwargs["bound_initial_insertions"] = _parse_bool(value, source, lineno)
     if "name" in pairs:
         kwargs["name"] = pairs["name"][1]
     try:
@@ -249,8 +247,6 @@ def format_scenario_config(
     lines.append(f"strength = {sc.strength}")
     if not sc.bound_initial_insertions:
         lines.append("bound_initial_insertions = false")
-    if sc.literal_bounded_race:
-        lines.append("literal_bounded_race = true")
     lines.append(f"name = {sc.name}")
     return "\n".join(lines) + "\n"
 

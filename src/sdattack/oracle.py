@@ -6,9 +6,12 @@ Two semantics of the attacked loop live here side by side:
     `closed_loop_language`) that follows the block decomposition of
     attacked strings literally, enumerating reaction choices and the
     monotone positions at which unobservable events may fire;
-  - a macro-state exploration (`check_problem1`) that tracks, per
-    observation history, every pair of plant state and reaction position
-    at once, which scales to the horizons the acceptance harness uses.
+  - a macro-state exploration (`Explorer`, behind `check_problem1` and
+    `check_embedding`) that tracks, per observation history, every pair
+    of plant state and reaction position at once, which scales to the
+    horizons the acceptance harness uses.  It bounds observation
+    histories, not plant strings, so the two semantics enumerate the
+    same set only where every plant event is observable.
 
 Both treat the supervisor completion as the judge: an edited observation
 keeps the attack stealthy exactly while the completion stays out of its
@@ -269,40 +272,26 @@ class _Pos:
         return (self.phase, rtok, qtok)
 
 
-@dataclass(frozen=True)
-class _Macro:
-    nodes: tuple[tuple[State, _Pos], ...]
-    ends: tuple[tuple[State, State | None], ...]
-    pending: str | None
-
-
 class Explorer:
     """Breadth-first exploration over observation histories.
 
-    One macro state per distinct (node set, reaction endpoint set, pending
-    observation); nodes pair a plant state with a reaction position, and a
-    position is the attack encoder state plus the supervisor completion
-    state reached by the edits so far.  `len_bound`, when set, additionally
-    tracks plant string length so tiny instances can be compared against
-    the literal semantics.
+    A macro state is its key, the triple (sorted nodes, sorted reaction
+    endpoints, pending observation); `macros` maps each key to its depth,
+    the length of its observation history.  A node is a pair (plant state,
+    reaction position), and a position is the attack encoder state plus
+    the supervisor completion state reached by the edits so far.
     """
 
-    def __init__(
-        self,
-        cfg: ClosedLoopConfig,
-        len_bound: int | None = None,
-        reaction_observer=None,
-    ) -> None:
+    def __init__(self, cfg: ClosedLoopConfig, reaction_observer=None) -> None:
         self.cfg = cfg
         self.fa = cfg.attack
         self.rt = cfg.rt
         self.plant = cfg.plant
         self.ea = cfg.attack.ea
-        self.len_bound = len_bound
         self.reaction_observer = reaction_observer
         self._adv: dict[tuple[_Pos, str | None], tuple[_Pos, ...]] = {}
         self._react_memo: dict = {}
-        self.macros: dict = {}
+        self.macros: dict[tuple, int] = {}
         self.trans: dict = {}
         self.initial_key = None
         self.adm_violations: list[tuple[Word, str]] = []
@@ -417,11 +406,8 @@ class Explorer:
     # -- macro exploration
 
     def _node_key(self, node) -> tuple:
-        if self.len_bound is None:
-            x, pos = node
-            return (state_token(x), pos.key())
-        x, pos, n = node
-        return (state_token(x), pos.key(), n)
+        x, pos = node
+        return (state_token(x), pos.key())
 
     def _close_nodes(self, seeds: dict, pending: str | None):
         """Micro closure: fire enabled unobservable plant events at every
@@ -431,13 +417,7 @@ class Explorer:
         queue = deque(seeds)
         while queue:
             node = queue.popleft()
-            if self.len_bound is None:
-                x, pos = node
-                n = None
-            else:
-                x, pos, n = node
-                if n >= self.len_bound:
-                    continue
+            x, pos = node
             for p2 in self._closure(pos, pending):
                 if self._sterile(p2, pending):
                     continue
@@ -446,14 +426,11 @@ class Explorer:
                     dst = self.plant.succ(x, u)
                     if dst is None:
                         continue
-                    nxt = (
-                        (dst, p2) if self.len_bound is None else (dst, p2, n + 1)
-                    )
+                    nxt = (dst, p2)
                     if nxt not in nodes:
                         nodes[nxt] = ("micro", node, u)
                         queue.append(nxt)
         return nodes
-
 
     def _macro_key(self, nodes, ends, pending):
         return (
@@ -471,55 +448,38 @@ class Explorer:
             self.stealth_violations.append(((), msg))
         if not ends0:
             self.adm_violations.append(((), "no initial reaction choice"))
-        seed = (
-            (self.plant.initial, root)
-            if self.len_bound is None
-            else (self.plant.initial, root, 0)
-        )
-        nodes = self._close_nodes({seed: ("init",)}, None)
+        nodes = self._close_nodes({(self.plant.initial, root): ("init",)}, None)
         key = self._macro_key(nodes, ends0, None)
         self.initial_key = key
-        self.macros[key] = _Macro(key[0], key[1], None)
+        self.macros[key] = 0
         for node, parent in nodes.items():
             self._parents[(key, node)] = parent
         self._scan_hits(key)
-        depth = {key: 0}
         queue = deque([key])
         while queue:
             cur = queue.popleft()
-            if depth[cur] >= self.cfg.horizon:
+            depth = self.macros[cur]
+            if depth >= self.cfg.horizon:
                 continue
-            macro = self.macros[cur]
+            cur_nodes, cur_ends, pending = cur
             obs_here = self._witness_obs(cur)
             for d in self.plant.events:
                 e = d.name
                 if not d.observable:
                     continue
-                fired: dict = {}
-                for node in macro.nodes:
-                    if self.len_bound is None:
-                        x, pos = node
-                    else:
-                        x, pos, n = node
-                        if n >= self.len_bound:
-                            continue
+                fired: dict = {}  # plant target -> first node that fires e
+                for node in cur_nodes:
+                    x, pos = node
                     dst = self.plant.succ(x, e)
                     if dst is None:
                         continue
-                    for p2 in self._closure(pos, macro.pending):
+                    for p2 in self._closure(pos, pending):
                         if self._end(p2) and e in self._gamma(p2.q):
-                            prev = fired.get(dst)
-                            # with length tracking, keep the shortest parent:
-                            # anything a longer string can still do within the
-                            # bound, a shorter one can too
-                            if prev is None or (
-                                self.len_bound is not None and node[2] < prev[2]
-                            ):
-                                fired[dst] = node
+                            fired.setdefault(dst, node)
                             break
                 if not fired:
                     continue
-                new_ends, viols = self._react(frozenset(macro.ends), e)
+                new_ends, viols = self._react(frozenset(cur_ends), e)
                 for msg in viols:
                     self.stealth_violations.append((obs_here + (e,), msg))
                 if not new_ends:
@@ -529,40 +489,32 @@ class Explorer:
                 seeds: dict = {}
                 for dst in sorted(fired, key=state_token):
                     parent_node = fired[dst]
-                    for r, q in macro.ends:
-                        pre = _Pos(_PRE, r, q)
-                        node = (
-                            (dst, pre)
-                            if self.len_bound is None
-                            else (dst, pre, parent_node[2] + 1)
+                    for r, q in cur_ends:
+                        seeds.setdefault(
+                            (dst, _Pos(_PRE, r, q)), ("fire", cur, parent_node, e)
                         )
-                        seeds.setdefault(node, ("fire", cur, parent_node, e))
                 nodes = self._close_nodes(seeds, e)
                 nkey = self._macro_key(nodes, new_ends, e)
                 self.trans[(cur, e)] = nkey
                 if nkey not in self.macros:
-                    self.macros[nkey] = _Macro(nkey[0], nkey[1], e)
+                    self.macros[nkey] = depth + 1
                     for node, parent in nodes.items():
                         self._parents[(nkey, node)] = parent
                     self._scan_hits(nkey)
-                    depth[nkey] = depth[cur] + 1
                     queue.append(nkey)
 
     def _scan_hits(self, key) -> None:
-        macro = self.macros[key]
-        if not macro.nodes:
-            return
+        nodes = key[0]
         crit = self.cfg.x_crit
-        if not crit:
+        if not nodes or not crit:
             return
-        states = [node[0] for node in macro.nodes]
         if self.weak_witness is None:
-            for node in macro.nodes:
+            for node in nodes:
                 if node[0] in crit:
                     self.weak_witness = self._witness(key, node)
                     break
-        if self.strong_witness is None and all(x in crit for x in states):
-            self.strong_witness = self._witness(key, macro.nodes[0])
+        if self.strong_witness is None and all(node[0] in crit for node in nodes):
+            self.strong_witness = self._witness(key, nodes[0])
 
     def _witness(self, key, node) -> Word:
         out: list[str] = []
@@ -582,10 +534,10 @@ class Explorer:
 
     def _witness_obs(self, key) -> Word:
         """Observation history of the macro's first discovery."""
-        macro = self.macros[key]
-        if not macro.nodes:
+        nodes = key[0]
+        if not nodes:
             return ()
-        return _project_obs(self.plant, self._witness(key, macro.nodes[0]))
+        return _project_obs(self.plant, self._witness(key, nodes[0]))
 
     # -- reporting helpers
 
@@ -613,7 +565,7 @@ class Explorer:
             key = self.trans.get((key, e))
             if key is None:
                 return frozenset()
-        return frozenset(node[0] for node in self.macros[key].nodes)
+        return frozenset(node[0] for node in key[0])
 
 
 def check_problem1(cfg: ClosedLoopConfig, strength: str = "strong") -> Verdict:
@@ -665,11 +617,7 @@ def check_embedding(
     )
     ex = Explorer(cfg)
     bad: list[tuple[Word, Word]] = []
-    seen_obs: set[Word] = set()
-    for obs in ex.realizable_observations():
-        if obs in seen_obs:
-            continue
-        seen_obs.add(obs)
+    for obs in ex.realizable_observations():  # each history once
         for t in sorted(fhat_strings(fa, obs, cut)):
             for i in range(len(t)):
                 if induced_e_state(ida, t[:i]) is None:

@@ -147,7 +147,6 @@ def prune_interruptible(aida: IDA, sc: Scenario) -> PruneResult:
         sc,
         name=f"isda({sc.name})",
         at_bound=lambda a: True,
-        removal_race_domain=None,
     )
 
 
@@ -156,7 +155,6 @@ def _prune_flagging(
     sc: Scenario,
     name: str,
     at_bound: Callable[[Node], bool],
-    removal_race_domain: frozenset[str] | None,
 ) -> PruneResult:
     """Shared fixpoint of the three prunings.
 
@@ -170,9 +168,8 @@ def _prune_flagging(
     idling at the state is stealthy, so it stays as a terminal leaf.
 
     A race requirement is one feasible observation of an E-state; it is
-    met while its genuine or its deletion move is alive.  When
-    `removal_race_domain` is given, an E-state at the bound is removed
-    only for an unmet requirement on an event of that domain.
+    met while its genuine or its deletion move is alive.  An E-state at
+    the bound is removed on any unmet requirement.
     """
     g = _Arena(base)
     nodes, src, out, pred = g.nodes, g.src, g.out, g.pred
@@ -198,9 +195,7 @@ def _prune_flagging(
     sigma_a = base.ctx.ea.sigma_a
     requirement = [-1] * len(src)  # edge -> the requirement it can meet
     met: list[int] = []  # requirement -> live edges meeting it
-    in_domain: list[bool] = []
     unmet = [0] * n
-    unmet_domain = [0] * n
     for z in range(n_s, n):
         if not alive[z]:
             continue
@@ -216,11 +211,8 @@ def _prune_flagging(
                     requirement[e] = r
                     count += live[e]
             met.append(count)
-            dom = removal_race_domain is not None and ev in removal_race_domain
-            in_domain.append(dom)
             if not count:
                 unmet[z] += 1
-                unmet_domain[z] += dom
 
     def kill(e: int) -> None:
         live[e] = False
@@ -233,7 +225,6 @@ def _prune_flagging(
             met[r] -= 1
             if not met[r]:
                 unmet[s] += 1
-                unmet_domain[s] += in_domain[r]
 
     bound = [at_bound(a) for a in nodes]
     flagged = [False] * n
@@ -244,17 +235,12 @@ def _prune_flagging(
         removed: list[int] = []
         new_flags: list[int] = []
         for a in work:
-            lost = lost_uc[a] > 0
-            if lost and bound[a]:
+            lost, racing = lost_uc[a] > 0, unmet[a] > 0
+            if (lost or racing) and bound[a]:
                 removed.append(a)
-                continue
-            racing = unmet[a] > 0
             # every move lost: an S-state, or an E-state the plant can still leave
-            if not live_out[a] and out[a] and (a < n_s or racing):
+            elif not live_out[a] and out[a] and (a < n_s or racing):
                 removed.append(a)
-            elif racing and bound[a]:
-                if removal_race_domain is None or unmet_domain[a]:
-                    removed.append(a)
             elif (lost or racing) and not flagged[a]:
                 new_flags.append(a)
         touched: set[int] = set()
@@ -287,7 +273,6 @@ def prune_unbounded(aida: IDA, sc: Scenario) -> PruneResult:
         sc,
         name=f"usda({sc.name})",
         at_bound=lambda a: False,
-        removal_race_domain=None,
     )
 
 
@@ -296,13 +281,8 @@ def prune_bounded(baida: IDA, sc: Scenario) -> PruneResult:
     if sc.n_a is None:
         raise ValueError("bounded pruning needs the scenario reaction bound")
     n_a = sc.n_a
-    domain = frozenset(sc.ea.sigma_a) if sc.literal_bounded_race else None
     return _prune_flagging(
-        baida,
-        sc,
-        name=f"bsda({sc.name})",
-        at_bound=lambda a: a.counter == n_a,
-        removal_race_domain=domain,
+        baida, sc, name=f"bsda({sc.name})", at_bound=lambda a: a.counter == n_a
     )
 
 

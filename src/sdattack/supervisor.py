@@ -71,11 +71,6 @@ def validate_supervisor(plant: Automaton, sup: Automaton) -> SupervisorRealizati
     return SupervisorRealization(sup)
 
 
-def build_h(plant: Automaton, sup: SupervisorRealization) -> Automaton:
-    """Observer of the supervised loop: all observation histories it can emit."""
-    return observer(parallel(sup.automaton, plant))
-
-
 @dataclass(frozen=True)
 class RTilde:
     """Total-under-uncontrollables completion of the supervised observer.
@@ -119,8 +114,8 @@ def build_rtilde(plant: Automaton, sup: SupervisorRealization) -> RTilde:
       - dead absorbs every uncontrollable event.
     No controllable event ever leads to dead.
     """
-    h = build_h(plant, sup)
     loop = parallel(sup.automaton, plant)
+    h = observer(loop)  # every observation history the supervised loop emits
     names = _spreadsheet_names(len(h.states))
     rename = dict(zip(h.states, names))
     uc_obs = sorted(plant.unctrl_events & plant.obs_events)

@@ -89,7 +89,6 @@ def _prune_flagging(
     sc: Scenario,
     name: str,
     at_bound: "callable[[Node], bool]",
-    removal_race_domain: frozenset[str] | None,
 ) -> PruneResult:
     """Shared fixpoint of the three prunings.
 
@@ -123,16 +122,7 @@ def _prune_flagging(
             for z in keep
             if z.side == E_SIDE and not is_race_free(z, h)
         }
-        if removal_race_domain is not None:
-            removable = {
-                z
-                for z in keep
-                if z.side == E_SIDE
-                and at_bound(z)
-                and not is_race_free(z, h, removal_race_domain)
-            }
-        else:
-            removable = {z for z in race_bad if at_bound(z)}
+        removable = {z for z in race_bad if at_bound(z)}
         keep -= removable
         new_flags |= {z for z in race_bad if z in keep and not at_bound(z)}
         nxt = _restrict(h, keep, flagged=new_flags, name=name)
@@ -146,14 +136,13 @@ def reference_prune(arena: IDA, sc: Scenario) -> PruneResult:
     """Prune `arena` (the counter game in bounded mode) for `sc.mode`."""
     if sc.mode == "interruptible":
         return _prune_flagging(
-            arena, sc, f"isda({sc.name})", lambda a: True, None
+            arena, sc, f"isda({sc.name})", lambda a: True
         )
     if sc.mode == "unbounded":
         return _prune_flagging(
-            arena, sc, f"usda({sc.name})", lambda a: False, None
+            arena, sc, f"usda({sc.name})", lambda a: False
         )
     n_a = sc.n_a
-    domain = frozenset(sc.ea.sigma_a) if sc.literal_bounded_race else None
     return _prune_flagging(
-        arena, sc, f"bsda({sc.name})", lambda a: a.counter == n_a, domain
+        arena, sc, f"bsda({sc.name})", lambda a: a.counter == n_a
     )

@@ -22,7 +22,6 @@ from sdattack.game import (
     induced_e_state,
     is_race_free,
     is_subsystem,
-    union,
 )
 
 
@@ -236,27 +235,6 @@ class TestInducedState:
 class TestStructure:
     def test_subsystem_reflexive(self, demo_aida):
         assert is_subsystem(demo_aida, demo_aida)
-
-    def test_union_idempotent(self, demo_aida):
-        u = union(demo_aida, demo_aida)
-        assert u.s_states == demo_aida.s_states
-        assert u.e_states == demo_aida.e_states
-        assert u.h_se == demo_aida.h_se
-        assert u.h_es == demo_aida.h_es
-
-    def test_union_rejects_conflicts(self, demo_aida):
-        z0 = demo_aida.initial
-        other = IDA(
-            "conflict",
-            demo_aida.ctx,
-            frozenset({z0}),
-            frozenset({enode(["3"], "C")}),
-            {z0: (frozenset({"a"}), enode(["3"], "C"))},
-            {},
-            z0,
-        )
-        with pytest.raises(ModelError):
-            union(demo_aida, other)
 
     def test_partial_structure_is_subsystem(self, demo_aida):
         z0 = demo_aida.initial

@@ -166,15 +166,18 @@ class TestScenarioFormat:
             read_scenario(cfg)
 
     def test_unknown_key_with_line(self, demo_scenario, tmp_path):
-        cfg = self._write(
-            tmp_path,
-            demo_scenario,
-            "plant = plant.aut\nsupervisor = supervisor.aut\n"
-            "attack_events = b\ncritical_states = 2\ncolor = red\n",
-        )
-        with pytest.raises(ParseError) as err:
-            read_scenario(cfg)
-        assert ":5:" in str(err.value)
+        for line in ("color = red", "literal_bounded_race = true"):
+            key = line.partition(" = ")[0]
+            cfg = self._write(
+                tmp_path,
+                demo_scenario,
+                "plant = plant.aut\nsupervisor = supervisor.aut\n"
+                f"attack_events = b\ncritical_states = 2\n{line}\n",
+            )
+            with pytest.raises(ParseError) as err:
+                read_scenario(cfg)
+            assert ":5:" in str(err.value)
+            assert f"unknown key {key!r}" in str(err.value)
 
     def test_duplicate_key(self, demo_scenario, tmp_path):
         cfg = self._write(

@@ -183,34 +183,6 @@ class TestBounded:
             prune_bounded(demo_aida, demo_scenario)
 
 
-class TestLiteralBoundedRace:
-    @staticmethod
-    def scenario(literal: bool):
-        # A two-state cycle the supervisor follows exactly; the attacker owns a.
-        events = (EventDecl("a", True, False), EventDecl("b", True, False))
-        plant = Automaton("G", ("0", "1"), events, {("0", "a"): "1", ("1", "b"): "0"}, "0")
-        sup = Automaton("R", ("A", "B"), events, {("A", "a"): "B", ("B", "b"): "A"}, "A")
-        return make_scenario(
-            plant,
-            sup,
-            frozenset({"a"}),
-            frozenset({"1"}),
-            mode="bounded",
-            n_a=1,
-            literal_bounded_race=literal,
-        )
-
-    def test_race_domain_decides_feasibility(self):
-        plain = self.scenario(False)
-        assert not prune(construct_aida(plain), plain).ida.nodes
-        assert not synthesize(plain).feasible
-        literal = self.scenario(True)
-        assert len(prune(construct_aida(literal), literal).ida.nodes) == 8
-        result = synthesize(literal)
-        assert result.feasible
-        assert result.target.token() == "E(1,B)#1"
-
-
 @pytest.fixture()
 def halting_scenario():
     # Plant can halt outside the critical set: 0 -b-> 4 is a stealthy
@@ -279,15 +251,10 @@ def mode_variants(sc):
     yield replace(sc, mode="unbounded", n_a=None), aida
     for n_a in (1, 2, 3):
         for bound_initial in (True, False):
-            for literal in (False, True):
-                var = replace(
-                    sc,
-                    mode="bounded",
-                    n_a=n_a,
-                    bound_initial_insertions=bound_initial,
-                    literal_bounded_race=literal,
-                )
-                yield var, construct_baida(var, aida)
+            var = replace(
+                sc, mode="bounded", n_a=n_a, bound_initial_insertions=bound_initial
+            )
+            yield var, construct_baida(var, aida)
 
 
 def in_order(res):
