@@ -41,9 +41,7 @@ from .oracle import (
     Verdict,
     check_embedding,
     check_problem1,
-    closed_loop_language,
     enumerate_attackers,
-    in_closed_loop,
     reach_estimate,
     supervisor_decision,
 )
@@ -83,13 +81,11 @@ __all__ = [
     "base_event",
     "check_embedding",
     "check_problem1",
-    "closed_loop_language",
     "construct_aida",
     "construct_baida",
     "decision_table",
     "deleted",
     "enumerate_attackers",
-    "in_closed_loop",
     "inserted",
     "is_deleted",
     "is_inserted",

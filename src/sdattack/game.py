@@ -260,15 +260,18 @@ def induced_e_state(ida: IDA, s: tuple[str, ...]) -> Node | None:
     Undefined (None) as soon as a move or a control hop is missing.
     """
     hop = ida.h_se.get(ida.initial)
-    if hop is None:
-        return None
-    z = hop[1]
+    z = None if hop is None else hop[1]
     for sym in s:
-        y = ida.h_es.get((z, sym))
-        if y is None:
-            return None
-        hop = ida.h_se.get(y)
-        if hop is None:
-            return None
-        z = hop[1]
+        if z is None:
+            break
+        z = induced_step(ida, z, sym)
     return z
+
+
+def induced_step(ida: IDA, z: Node, sym: str) -> Node | None:
+    """E-state after one more edited symbol from the E-state `z`, or None."""
+    y = ida.h_es.get((z, sym))
+    if y is None:
+        return None
+    hop = ida.h_se.get(y)
+    return None if hop is None else hop[1]

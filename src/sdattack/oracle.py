@@ -1,22 +1,24 @@
 """Independent verification of attack strategies against the closed loop.
 
-Two semantics of the attacked loop live here side by side:
+A macro-state exploration (`Explorer`, behind `check_problem1` and
+`check_embedding`) tracks, per observation history, every pair of plant
+state and reaction position at once, which scales to the horizons the
+acceptance harness uses.  It bounds observation histories, not plant
+strings, so it enumerates the same set as the literal recursive
+semantics (a test-only reference) only where every plant event is
+observable.  The supervisor completion is the judge: an edited
+observation keeps the attack stealthy exactly while the completion stays
+out of its dead sink and keeps being defined.  Hit conditions are
+evaluated up to a bounded number of observations; verdicts say so
+explicitly.
 
-  - an exact recursive membership test (`in_closed_loop`,
-    `closed_loop_language`) that follows the block decomposition of
-    attacked strings literally, enumerating reaction choices and the
-    monotone positions at which unobservable events may fire;
-  - a macro-state exploration (`Explorer`, behind `check_problem1` and
-    `check_embedding`) that tracks, per observation history, every pair
-    of plant state and reaction position at once, which scales to the
-    horizons the acceptance harness uses.  It bounds observation
-    histories, not plant strings, so the two semantics enumerate the
-    same set only where every plant event is observable.
-
-Both treat the supervisor completion as the judge: an edited observation
-keeps the attack stealthy exactly while the completion stays out of its
-dead sink and keeps being defined.  Hit conditions are evaluated up to a
-bounded number of observations; verdicts say so explicitly.
+The exhaustive enumerator (`enumerate_attackers`) lists every small
+attack strategy as a reaction table and explores the closed loop of each
+table with the same macro steps.  A macro transition reads only the
+table entries of the reactions it plays, so it is memoized under the
+values of those entries.  The memo is scoped to the depth-first search
+path: what a table adds to it is dropped once the search backtracks past
+that table.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from dataclasses import dataclass, field
 
 from .alphabet import EditAlphabet, base_event, deleted, is_deleted, is_inserted
 from .automata import Automaton, ModelError, State, next_states, state_token, unobservable_reach
-from .game import IDA, Node, induced_e_state
+from .game import IDA, Node, induced_e_state, induced_step
 from .supervisor import DEAD, RTilde
 from .synth import AttackFunction, initial_reactions, reactions
 
-Sym = str
 Word = tuple[str, ...]
 
 
@@ -106,165 +107,25 @@ def reach_estimate(
 
 
 # ---------------------------------------------------------------------------
-# literal recursive semantics
-
-
-def fhat_strings(
-    fa: AttackFunction, obs: Word, cut: int | None = None
-) -> frozenset[Word]:
-    """All edited strings the attacker may have produced for an observation."""
-    out = initial_reactions(fa, cut)
-    for e in obs:
-        nxt: set[Word] = set()
-        for t3 in out:
-            r = fa.state_after(t3)
-            if r is None:
-                continue
-            for t2 in reactions(fa, r, e, cut):
-                nxt.add(t3 + t2)
-        out = frozenset(nxt)
-    return out
-
-
-def _project_obs(plant: Automaton, w: Word) -> Word:
-    return tuple(sym for sym in w if sym in plant.obs_events)
-
-
-class _Literal:
-    """Recursive membership evaluator for the attacked closed loop."""
-
-    def __init__(self, cfg: ClosedLoopConfig, cut: int | None = None) -> None:
-        self.cfg = cfg
-        self.cut = cut
-        self.fa = cfg.attack
-        self.ea = cfg.attack.ea
-        self._member: dict[Word, bool] = {}
-        self._fhat: dict[Word, frozenset[Word]] = {}
-
-    def fhat(self, obs: Word) -> frozenset[Word]:
-        if obs not in self._fhat:
-            if obs:
-                prev = self.fhat(obs[:-1])
-                nxt: set[Word] = set()
-                for t3 in prev:
-                    r = self.fa.state_after(t3)
-                    if r is None:
-                        continue
-                    for t2 in reactions(self.fa, r, obs[-1], self.cut):
-                        nxt.add(t3 + t2)
-                self._fhat[obs] = frozenset(nxt)
-            else:
-                self._fhat[obs] = initial_reactions(self.fa, self.cut)
-        return self._fhat[obs]
-
-    def decision(self, edited: Word) -> frozenset[str]:
-        return supervisor_decision(self.cfg.rt, self.ea, edited)
-
-    def member(self, w: Word) -> bool:
-        if w in self._member:
-            return self._member[w]
-        res = self._eval(w)
-        self._member[w] = res
-        return res
-
-    def _eval(self, w: Word) -> bool:
-        if not w:
-            return True
-        plant = self.cfg.plant
-        obs_idx = [i for i, sym in enumerate(w) if sym in plant.obs_events]
-        if not obs_idx or (len(obs_idx) == 1 and obs_idx[0] == len(w) - 1):
-            # first block: unobservables, then at most one observation
-            return self._block_ok(None, w)
-        last = obs_idx[-1]
-        if last == len(w) - 1:
-            prev = obs_idx[-2]
-            s, t1 = w[: prev + 1], w[prev + 1 :]
-        else:
-            s, t1 = w[: last + 1], w[last + 1 :]
-        if not self.member(s):
-            return False
-        return self._block_ok(s, t1)
-
-    def _block_ok(self, s: Word | None, t1: Word) -> bool:
-        """One block extension: ``s`` ends with the observation being reacted
-        to (None for the initial block), ``t1`` is the plant continuation."""
-        plant = self.cfg.plant
-        if s is None:
-            tails = [((), t2) for t2 in self.fhat(())]
-        else:
-            e = s[-1]
-            obs_prev = _project_obs(plant, s[:-1])
-            tails = []
-            for t3 in self.fhat(obs_prev):
-                r = self.fa.state_after(t3)
-                if r is None:
-                    continue
-                for t2 in reactions(self.fa, r, e, self.cut):
-                    tails.append((t3, t2))
-        unobs = t1 if not t1 or t1[-1] not in plant.obs_events else t1[:-1]
-        closing = None if not t1 or t1[-1] not in plant.obs_events else t1[-1]
-        for t3, t2 in tails:
-            for idx in itertools.combinations_with_replacement(
-                range(len(t2) + 1), len(unobs)
-            ):
-                if not all(
-                    u in self.decision(t3 + t2[:i]) for u, i in zip(unobs, idx)
-                ):
-                    continue
-                if closing is None:
-                    return True
-                if closing in self.decision(t3 + t2):
-                    return True
-        return False
-
-
-def in_closed_loop(cfg: ClosedLoopConfig, w: Word, cut: int | None = None) -> bool:
-    """Literal membership of a plant string in the attacked loop language."""
-    from .automata import step
-
-    if step(cfg.plant, cfg.plant.initial, w) is None:
-        return False
-    return _Literal(cfg, cut).member(w)
-
-
-def closed_loop_language(
-    cfg: ClosedLoopConfig, cut: int | None = None
-) -> set[Word]:
-    """Every attacked-loop string up to length `horizon` (exact, brute force)."""
-    lit = _Literal(cfg, cut)
-    out: set[Word] = set()
-    frontier: list[tuple[State, Word]] = [(cfg.plant.initial, ())]
-    out.add(())
-    for _ in range(cfg.horizon):
-        nxt: list[tuple[State, Word]] = []
-        for x, w in frontier:
-            for ev, dst in cfg.plant.out_edges(x):
-                w2 = w + (ev,)
-                nxt.append((dst, w2))
-                if lit.member(w2):
-                    out.add(w2)
-        frontier = nxt
-    return out
-
-
-def nominal_closed_loop(plant: Automaton, sup: Automaton, max_len: int) -> set[Word]:
-    """Unattacked supervised language, for baseline comparisons."""
-    from .automata import language, parallel
-
-    return language(parallel(sup, plant), max_len)
-
-
-# ---------------------------------------------------------------------------
 # macro-state exploration
 
 _PRE, _MID, _ROOT = "pre", "mid", "root"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Pos:
+    """A reaction position, hashed once to `hash((phase, r, q))`."""
+
     phase: str
     r: State
     q: State | None  # None once the supervisor view left the model
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.phase, self.r, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def key(self) -> tuple[str, str, str]:
         rtok = self.r.token() if isinstance(self.r, Node) else state_token(self.r)
@@ -272,36 +133,21 @@ class _Pos:
         return (self.phase, rtok, qtok)
 
 
-class Explorer:
-    """Breadth-first exploration over observation histories.
+class _MacroSteps:
+    """The steps between macro-states, over abstract reaction positions.
 
-    A macro state is its key, the triple (sorted nodes, sorted reaction
-    endpoints, pending observation); `macros` maps each key to its depth,
-    the length of its observation history.  A node is a pair (plant state,
-    reaction position), and a position is the attack encoder state plus
-    the supervisor completion state reached by the edits so far.
+    A macro state holds nodes, pairs (plant state, reaction position), and
+    reaction endpoints, pairs (attack state, supervisor state).  A position
+    is an attack state plus the supervisor completion state reached by the
+    edits so far.  Subclasses give the position rules: `_closure` (every
+    position the attacker's moves reach under a pending observation),
+    `_end` (a reaction may stop here) and `_sterile` (nothing may happen
+    here, because the recursion requires an existing reaction choice).
     """
 
-    def __init__(self, cfg: ClosedLoopConfig, reaction_observer=None) -> None:
-        self.cfg = cfg
-        self.fa = cfg.attack
-        self.rt = cfg.rt
-        self.plant = cfg.plant
-        self.ea = cfg.attack.ea
-        self.reaction_observer = reaction_observer
-        self._adv: dict[tuple[_Pos, str | None], tuple[_Pos, ...]] = {}
-        self._react_memo: dict = {}
-        self.macros: dict[tuple, int] = {}
-        self.trans: dict = {}
-        self.initial_key = None
-        self.adm_violations: list[tuple[Word, str]] = []
-        self.stealth_violations: list[tuple[Word, str]] = []
-        self.weak_witness: Word | None = None
-        self.strong_witness: Word | None = None
-        self._parents: dict = {}
-        self._ran = False
-
-    # -- position machinery
+    def __init__(self, plant: Automaton, rt: RTilde) -> None:
+        self.plant = plant
+        self.rt = rt
 
     def _mu(self, q: State | None, e: str) -> State | None:
         if q is None:
@@ -312,6 +158,100 @@ class Explorer:
         if q is None:
             return frozenset()
         return self.rt.gamma(q)
+
+    def _initial_ends(self, root: _Pos):
+        ends: list = []
+        viols: list[str] = []
+        for p in self._closure(root, None):
+            if p.q is None or p.q == DEAD:
+                viols.append("initial burst leaves the supervised language")
+            if self._end(p):
+                ends.append((p.r, p.q))
+        return frozenset(ends), viols
+
+    def _reaction(self, ends: frozenset, e: str):
+        """Endpoints after reacting to `e` from `ends`, and the violations."""
+        new_ends: set = set()
+        viols: list[str] = []
+        for r, q in ends:
+            for p in self._closure(_Pos(_PRE, r, q), e):
+                if p.phase == _PRE:
+                    continue
+                if p.q is None or p.q == DEAD:
+                    viols.append(
+                        f"reaction to {e!r} drives the supervisor view out "
+                        "of the supervised language"
+                    )
+                if self._end(p):
+                    new_ends.add((p.r, p.q))
+        return frozenset(new_ends), tuple(viols)
+
+    def _fire(self, nodes, pending: str | None, e: str) -> dict:
+        """Plant target -> first node whose reaction lets `e` fire."""
+        fired: dict = {}
+        for node in nodes:
+            x, pos = node
+            dst = self.plant.succ(x, e)
+            if dst is None or dst in fired:
+                continue
+            for p2 in self._closure(pos, pending):
+                if self._end(p2) and e in self._gamma(p2.q):
+                    fired[dst] = node
+                    break
+        return fired
+
+    def _close_nodes(self, seeds: dict, pending: str | None):
+        """Micro closure: fire enabled unobservable plant events at every
+        advance-reachable, non-sterile position.  Returns nodes and local
+        parent links for witness reconstruction."""
+        nodes = dict(seeds)
+        queue = deque(seeds)
+        while queue:
+            node = queue.popleft()
+            x, pos = node
+            for p2 in self._closure(pos, pending):
+                if self._sterile(p2, pending):
+                    continue
+                gamma = self._gamma(p2.q)
+                for u in sorted(gamma & self.plant.unobs_events):
+                    dst = self.plant.succ(x, u)
+                    if dst is None:
+                        continue
+                    nxt = (dst, p2)
+                    if nxt not in nodes:
+                        nodes[nxt] = ("micro", node, u)
+                        queue.append(nxt)
+        return nodes
+
+
+class Explorer(_MacroSteps):
+    """Breadth-first exploration over observation histories.
+
+    A macro state is its key, the triple (sorted nodes, sorted reaction
+    endpoints, pending observation); `macros` maps each key to the
+    observation history it was first reached by, whose length is its
+    depth.  A node is a pair (plant state, reaction position), and a
+    position is the attack encoder state plus the supervisor completion
+    state reached by the edits so far.
+    """
+
+    def __init__(self, cfg: ClosedLoopConfig) -> None:
+        super().__init__(cfg.plant, cfg.rt)
+        self.cfg = cfg
+        self.fa = cfg.attack
+        self._adv: dict[tuple[_Pos, str | None], tuple[_Pos, ...]] = {}
+        self._react_memo: dict = {}
+        self.macros: dict[tuple, Word] = {}
+        self.trans: dict = {}
+        self.initial_key = None
+        self.adm_violations: list[tuple[Word, str]] = []
+        self.stealth_violations: list[tuple[Word, str]] = []
+        self.weak_witness: Word | None = None
+        self.strong_witness: Word | None = None
+        self._parents: dict = {}
+        self._ran = False
+
+    # -- position rules of the attack encoder
 
     def _end(self, pos: _Pos) -> bool:
         if pos.phase == _PRE:
@@ -330,7 +270,7 @@ class Explorer:
             dst = f.succ(pos.r, pending)
             if dst is not None:
                 out.append(_Pos(_MID, dst, self._mu(pos.q, pending)))
-            if pending in self.ea.sigma_a:
+            if pending in self.fa.ea.sigma_a:
                 ddst = f.succ(pos.r, deleted(pending))
                 if ddst is not None:
                     out.append(_Pos(_MID, ddst, pos.q))
@@ -362,75 +302,22 @@ class Explorer:
         return self._adv[key]
 
     def _sterile(self, pos: _Pos, pending: str | None) -> bool:
-        """A position that admits no reaction at all: nothing may happen under
-        it, because the recursion requires an existing reaction choice."""
         if self._end(pos):
             return False
         return not self._advance_step(pos, pending)
 
-    # -- reaction endpoint tracking (supervisor-side, plant-free)
-
-    def _initial_ends(self):
-        root = _Pos(_ROOT, self.fa.f.initial, self.rt.initial)
-        ends: list = []
-        viols: list[str] = []
-        for p in self._closure(root, None):
-            if p.q is None or p.q == DEAD:
-                viols.append("initial burst leaves the supervised language")
-            if self._end(p):
-                ends.append((p.r, p.q))
-        return root, frozenset(ends), viols
-
     def _react(self, ends: frozenset, e: str):
         key = (ends, e)
-        if key not in self._react_memo:
-            new_ends: set = set()
-            viols: list[str] = []
-            for r, q in sorted(ends, key=lambda p: _Pos(_MID, p[0], p[1]).key()):
-                if self.reaction_observer is not None:
-                    self.reaction_observer(r, e)
-                pre = _Pos(_PRE, r, q)
-                for p in self._closure(pre, e):
-                    if p.phase == _PRE:
-                        continue
-                    if p.q is None or p.q == DEAD:
-                        viols.append(
-                            f"reaction to {e!r} drives the supervisor view out "
-                            "of the supervised language"
-                        )
-                    if self._end(p):
-                        new_ends.add((p.r, p.q))
-            self._react_memo[key] = (frozenset(new_ends), tuple(viols))
-        return self._react_memo[key]
+        out = self._react_memo.get(key)
+        if out is None:
+            out = self._react_memo[key] = self._reaction(ends, e)
+        return out
 
     # -- macro exploration
 
     def _node_key(self, node) -> tuple:
         x, pos = node
         return (state_token(x), pos.key())
-
-    def _close_nodes(self, seeds: dict, pending: str | None):
-        """Micro closure: fire enabled unobservable plant events at every
-        advance-reachable, non-sterile position.  Returns nodes and local
-        parent links for witness reconstruction."""
-        nodes = dict(seeds)
-        queue = deque(seeds)
-        while queue:
-            node = queue.popleft()
-            x, pos = node
-            for p2 in self._closure(pos, pending):
-                if self._sterile(p2, pending):
-                    continue
-                gamma = self._gamma(p2.q)
-                for u in sorted(gamma & self.plant.unobs_events):
-                    dst = self.plant.succ(x, u)
-                    if dst is None:
-                        continue
-                    nxt = (dst, p2)
-                    if nxt not in nodes:
-                        nodes[nxt] = ("micro", node, u)
-                        queue.append(nxt)
-        return nodes
 
     def _macro_key(self, nodes, ends, pending):
         return (
@@ -443,7 +330,8 @@ class Explorer:
         if self._ran:
             return
         self._ran = True
-        root, ends0, init_viols = self._initial_ends()
+        root = _Pos(_ROOT, self.fa.f.initial, self.rt.initial)
+        ends0, init_viols = self._initial_ends(root)
         for msg in init_viols:
             self.stealth_violations.append(((), msg))
         if not ends0:
@@ -451,32 +339,22 @@ class Explorer:
         nodes = self._close_nodes({(self.plant.initial, root): ("init",)}, None)
         key = self._macro_key(nodes, ends0, None)
         self.initial_key = key
-        self.macros[key] = 0
+        self.macros[key] = ()
         for node, parent in nodes.items():
             self._parents[(key, node)] = parent
         self._scan_hits(key)
         queue = deque([key])
         while queue:
             cur = queue.popleft()
-            depth = self.macros[cur]
-            if depth >= self.cfg.horizon:
+            obs_here = self.macros[cur]
+            if len(obs_here) >= self.cfg.horizon:
                 continue
             cur_nodes, cur_ends, pending = cur
-            obs_here = self._witness_obs(cur)
             for d in self.plant.events:
                 e = d.name
                 if not d.observable:
                     continue
-                fired: dict = {}  # plant target -> first node that fires e
-                for node in cur_nodes:
-                    x, pos = node
-                    dst = self.plant.succ(x, e)
-                    if dst is None:
-                        continue
-                    for p2 in self._closure(pos, pending):
-                        if self._end(p2) and e in self._gamma(p2.q):
-                            fired.setdefault(dst, node)
-                            break
+                fired = self._fire(cur_nodes, pending, e)
                 if not fired:
                     continue
                 new_ends, viols = self._react(frozenset(cur_ends), e)
@@ -497,7 +375,7 @@ class Explorer:
                 nkey = self._macro_key(nodes, new_ends, e)
                 self.trans[(cur, e)] = nkey
                 if nkey not in self.macros:
-                    self.macros[nkey] = depth + 1
+                    self.macros[nkey] = obs_here + (e,)
                     for node, parent in nodes.items():
                         self._parents[(nkey, node)] = parent
                     self._scan_hits(nkey)
@@ -531,13 +409,6 @@ class Explorer:
                 out.append(e)
                 key, node = pkey, pnode
         return tuple(reversed(out))
-
-    def _witness_obs(self, key) -> Word:
-        """Observation history of the macro's first discovery."""
-        nodes = key[0]
-        if not nodes:
-            return ()
-        return _project_obs(self.plant, self._witness(key, nodes[0]))
 
     # -- reporting helpers
 
@@ -615,15 +486,47 @@ def check_embedding(
         attack=fa,
         horizon=horizon,
     )
-    ex = Explorer(cfg)
+    # Each history extends its parent's edited strings by one reaction.
+    # A string carries its encoder state, its E-state and the length of its
+    # shortest prefix the game cannot follow (None while there is none).
+    z0 = induced_e_state(ida, ())
+    start = (fa.f.initial, z0, None if z0 is not None else 0)
+    carried: dict[Word, dict[Word, tuple]] = {}
     bad: list[tuple[Word, Word]] = []
-    for obs in ex.realizable_observations():  # each history once
-        for t in sorted(fhat_strings(fa, obs, cut)):
-            for i in range(len(t)):
-                if induced_e_state(ida, t[:i]) is None:
-                    bad.append((obs, t[:i]))
-                    break
+    for obs in Explorer(cfg).realizable_observations():  # parents first
+        if obs:
+            strings: dict[Word, tuple] = {}
+            for t3, walked in carried[obs[:-1]].items():
+                r = walked[0]
+                if r is None:
+                    continue
+                for t2 in reactions(fa, r, obs[-1], cut):
+                    t = t3 + t2
+                    if t not in strings:
+                        strings[t] = _follow(fa, ida, t, len(t3), walked)
+        else:
+            strings = {t: _follow(fa, ida, t, 0, start) for t in initial_reactions(fa, cut)}
+        carried[obs] = strings
+        for t in sorted(strings):
+            k = strings[t][2]
+            if k is not None and k < len(t):
+                bad.append((obs, t[:k]))
     return bad
+
+
+def _follow(fa: AttackFunction, ida: IDA, t: Word, start: int, walked: tuple) -> tuple:
+    """(encoder state, E-state, first undefined prefix length) of `t`, from
+    those of its prefix `t[:start]`, one symbol at a time."""
+    r, z, k = walked
+    for i in range(start, len(t)):
+        sym = t[i]
+        if r is not None:
+            r = fa.f.succ(r, sym)
+        if k is None:
+            z = induced_step(ida, z, sym)
+            if z is None:
+                k = i + 1
+    return r, z, k
 
 
 def _has_insertion_cycle(fa: AttackFunction) -> bool:
@@ -786,6 +689,183 @@ def _table_attack(sc, table: dict) -> AttackFunction:
     )
 
 
+_UNSEEN = object()  # no memo entry yet; None is a memoized "cannot occur"
+
+
+class _TableSearch(_MacroSteps):
+    """The closed loop of each reaction table of one enumeration.
+
+    Positions and macro-states are the explorer's, with the table in place
+    of an encoder: an attack state is the edited word played so far, and
+    the moves from it are read off the table's word sets.  The reaction
+    that produced a word is its segment: the entry keyed by the word
+    before its last genuine or deleted symbol, or the initial entry
+    (`None`) for a word of insertions only.
+
+    A transition from one macro-state on one observation reads only these
+    entries: `(r, pending)` for each PRE position `r` among its nodes (its
+    MID nodes lie on those entries' words), `(r, e)` for each reaction
+    endpoint `r`, and `None` from the initial macro-state.  It is memoized
+    under the macro-state, the observation and the values of those
+    entries, a missing entry included.  The memo also holds the initial
+    macro-state of each initial entry and the closure of each position
+    whose entry is present.
+
+    The depth-first search only adds entries below a table, so a memo
+    entry holds for every table that extends the one it was computed for.
+    The memo is scoped to the search path: `push` opens a scope for a
+    table, and `pop` drops what was memoized while that table and its
+    extensions were explored, once the search backtracks past it.
+    """
+
+    def __init__(self, sc, horizon: int) -> None:
+        super().__init__(sc.plant, sc.rtilde)
+        self.det = sc.mode in ("unbounded", "bounded")
+        self.horizon = horizon
+        self.events = tuple(d.name for d in sc.plant.events if d.observable)
+        self.table: dict = {}
+        self._memo: dict = {}
+        self._scopes: list[list] = []  # per table on the path: the memo keys it added
+
+    def push(self) -> None:
+        self._scopes.append([])
+
+    def pop(self) -> None:
+        for key in self._scopes.pop():
+            del self._memo[key]
+
+    def _remember(self, key, value):
+        self._memo[key] = value
+        self._scopes[-1].append(key)
+        return value
+
+    # -- position rules of the table
+
+    def _segment(self, r: Word):
+        """The entry whose choice produced the word `r`."""
+        for j in range(len(r) - 1, -1, -1):
+            if not is_inserted(r[j]):
+                return (r[:j], base_event(r[j]))
+        return None
+
+    def _closure(self, pos: _Pos, pending: str | None) -> tuple[_Pos, ...]:
+        key = (pos, pending)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if pos.phase == _PRE:
+            entry, base = (pos.r, pending), pos.r
+            if entry not in self.table:
+                return (pos,)  # a hole, which a longer table may fill
+        else:
+            entry = None if pos.phase == _ROOT else self._segment(pos.r)
+            base = () if entry is None else entry[0]
+        done = pos.r[len(base):]
+        out = {pos: None}
+        for word in self.table[entry]:
+            if len(word) <= len(done) or word[: len(done)] != done:
+                continue
+            q = pos.q
+            for i in range(len(done), len(word)):
+                sym = word[i]
+                if not is_deleted(sym):
+                    q = self._mu(q, base_event(sym))
+                out[_Pos(_MID, base + word[: i + 1], q)] = None
+        return self._remember(key, tuple(out))
+
+    def _end(self, pos: _Pos) -> bool:
+        if pos.phase == _PRE:
+            return False
+        if pos.phase == _ROOT:
+            return () in self.table[None]
+        if not self.det:
+            return True
+        entry = self._segment(pos.r)
+        return pos.r[len(entry[0]) if entry else 0:] in self.table[entry]
+
+    def _sterile(self, pos: _Pos, pending: str | None) -> bool:
+        return pos.phase == _PRE and (pos.r, pending) not in self.table
+
+    # -- memoized macro transitions
+
+    @staticmethod
+    def _macro(nodes, ends, pending) -> tuple:
+        """A macro-state key, with room for the entries read per observation."""
+        return (frozenset(nodes), frozenset(ends), pending), {}
+
+    def _reads(self, macro, e: str) -> tuple:
+        """The table entries a transition from `macro` on `e` reads."""
+        (nodes, ends, pending), reads = macro
+        read = reads.get(e)
+        if read is None:
+            if pending is None:
+                keys = [None]
+            else:
+                keys = [(pos.r, pending) for _, pos in nodes if pos.phase == _PRE]
+            keys += [(r, e) for r, _ in ends]
+            read = reads[e] = tuple(dict.fromkeys(keys))
+        return read
+
+    def _initial(self):
+        """(initial macro-state, breaks stealth) of the current initial entry."""
+        key = (None, self.table[None])
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        root = _Pos(_ROOT, (), self.rt.initial)
+        ends, viols = self._initial_ends(root)
+        nodes = self._close_nodes({(self.plant.initial, root): None}, None)
+        return self._remember(key, (self._macro(nodes, ends, None), bool(viols)))
+
+    def _step(self, macro, e: str):
+        """(successor, breaks stealth, holes) of `macro` on `e`, or None when
+        `e` cannot occur there."""
+        key = (macro[0], e, tuple(map(self.table.get, self._reads(macro, e))))
+        hit = self._memo.get(key, _UNSEEN)
+        if hit is not _UNSEEN:
+            return hit
+        nodes, ends, pending = macro[0]
+        fired = self._fire(nodes, pending, e)
+        if not fired:
+            return self._remember(key, None)
+        new_ends, viols = self._reaction(ends, e)
+        seeds = {(dst, _Pos(_PRE, r, q)): None for dst in fired for r, q in ends}
+        nxt = self._macro(self._close_nodes(seeds, e), new_ends, e)
+        holes = tuple(h for h in dict.fromkeys((r, e) for r, _ in ends) if h not in self.table)
+        return self._remember(key, (nxt, bool(viols), holes))
+
+    def explore(self, stop_on_violation: bool) -> tuple[tuple | None, bool]:
+        """(first hole, breaks stealth) of the current table, breadth first
+        over macro-states up to the horizon.  The first hole is the least
+        unfilled (endpoint, observation) entry a reaction needs; with
+        `stop_on_violation` the walk ends at the first stealth violation."""
+        start, broken = self._initial()
+        if broken and stop_on_violation:
+            return None, True
+        seen = {start[0]}
+        frontier = [start]
+        holes: set = set()
+        for _ in range(self.horizon):
+            nxt = []
+            for macro in frontier:
+                for e in self.events:
+                    step = self._step(macro, e)
+                    if step is None:
+                        continue
+                    succ, viol, found = step
+                    if viol:
+                        broken = True
+                        if stop_on_violation:
+                            return None, True
+                    holes.update(found)
+                    if succ[0] not in seen:
+                        seen.add(succ[0])
+                        nxt.append(succ)
+            frontier = nxt
+        hole = min(holes, key=lambda h: (len(h[0]), h[0], h[1])) if holes else None
+        return hole, broken
+
+
 def enumerate_attackers(
     sc, bounds: EnumBounds = EnumBounds(), certifying_only: bool = False
 ):
@@ -797,46 +877,57 @@ def enumerate_attackers(
     edits already break stealth are cut; a violation on a decided edit is
     permanent, so no certifying attacker is lost, and the cut keeps the
     search tractable.  Raises on instances larger than the bounds.
+
+    The search is depth first, and each table extends its parent by the
+    entry of its first hole.  One `_TableSearch` explores the closed loop
+    of every table, breadth first over macro-states, and stops at the
+    first stealth violation when only certifying attackers are wanted.
+    A transition from a macro-state on an observation `e` reads only the
+    entries `(r, pending)` of the PRE positions among its nodes, `(r, e)`
+    of its reaction endpoints, and the initial entry `None` from the
+    initial macro-state; it is memoized under their values, a missing
+    entry included.  Memo entries made while a table is explored are
+    dropped when the search backtracks past that table.  So a table
+    re-walks its macro-states but computes only the transitions that no
+    table on its search path computed on the same entries.  An encoder is
+    built only for the attackers yielded and for the first table of each
+    initial burst.
     """
     if len(sc.plant.states) > bounds.max_states:
         raise OracleBudgetError("plant too large for exhaustive enumeration")
     if len(sc.plant.obs_events) > bounds.max_obs:
         raise OracleBudgetError("too many observable events for enumeration")
     yielded = 0
+    search = _TableSearch(sc, bounds.horizon)
+    table = search.table
 
-    def missing(table: dict):
-        fa = _table_attack(sc, table)
-        holes: list = []
-
-        def observe(r: State, e: str) -> None:
-            if (r, e) not in table:
-                holes.append((r, e))
-
-        cfg = ClosedLoopConfig(
-            sc.plant, sc.rtilde, fa, bounds.horizon, sc.x_crit
-        )
-        ex = Explorer(cfg, reaction_observer=observe)
-        ex.run()
-        hole = min(holes, key=lambda h: (len(h[0]), h[0], h[1])) if holes else None
-        return hole, fa, bool(ex.stealth_violations)
-
-    def rec(table: dict):
+    def rec():
         nonlocal yielded
         if len(table) > bounds.max_points:
             raise OracleBudgetError("reaction table grew past the point budget")
-        point, fa, broken = missing(table)
-        if certifying_only and broken:
-            return
-        if point is None:
-            yielded += 1
-            if yielded > bounds.max_attackers:
-                raise OracleBudgetError("too many attackers within the bounds")
-            yield fa
-            return
-        for choice in _point_candidates(sc, point, bounds):
-            table[point] = choice
-            yield from rec(table)
-            del table[point]
+        if len(table) == 1:
+            # The encoder's shape check can fail only on the initial burst;
+            # the candidates of every later entry keep to the bounds.
+            _table_attack(sc, table)
+        search.push()
+        try:
+            point, broken = search.explore(certifying_only)
+            if certifying_only and broken:
+                return
+            if point is None:
+                fa = _table_attack(sc, table)
+                yielded += 1
+                if yielded > bounds.max_attackers:
+                    raise OracleBudgetError("too many attackers within the bounds")
+                yield fa
+                return
+            for choice in _point_candidates(sc, point, bounds):
+                table[point] = choice
+                yield from rec()
+                del table[point]
+        finally:
+            search.pop()
 
     for init_choice in _point_candidates(sc, None, bounds):
-        yield from rec({None: init_choice})
+        table[None] = init_choice
+        yield from rec()

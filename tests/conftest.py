@@ -1,4 +1,5 @@
-"""Shared fixtures: the demo scenario and deterministic hypothesis settings."""
+"""Shared fixtures: the demo scenario, the one-shot instance and deterministic
+hypothesis settings."""
 
 from __future__ import annotations
 
@@ -30,3 +31,18 @@ def demo_aida(demo_scenario):
     from sdattack.build import construct_aida
 
     return construct_aida(demo_scenario)
+
+
+@pytest.fixture(scope="session")
+def one_shot():
+    """Two-state plant, one compromised observable, permissive supervisor."""
+    from sdattack.automata import Automaton, EventDecl
+
+    a = EventDecl("a", True, True)
+    plant = Automaton(
+        name="P", states=("0", "1"), events=(a,), trans={("0", "a"): "1"}, initial="0"
+    )
+    sup = Automaton(
+        name="S", states=("r0",), events=(a,), trans={("r0", "a"): "r0"}, initial="r0"
+    )
+    return plant, sup

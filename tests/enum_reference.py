@@ -1,0 +1,114 @@
+"""From-scratch attacker enumeration, kept as the test-only reference.
+
+`reference_enumerate_attackers` states the enumeration directly: for
+every partial reaction table it builds the table's encoder, runs one
+fresh `Explorer` over the closed loop, and reads the table's holes off
+the reactions that exploration computes.  `reference_check_embedding`
+builds the attacker's edited strings from scratch for every observation
+history and walks the arena from its initial state for every prefix.
+The tests compare the incremental enumerator and the linear embedding
+check of `sdattack.oracle` with both.
+"""
+
+from __future__ import annotations
+
+from literal_reference import fhat_strings
+from sdattack.automata import State
+from sdattack.game import IDA, induced_e_state
+from sdattack.oracle import (
+    ClosedLoopConfig,
+    EnumBounds,
+    Explorer,
+    OracleBudgetError,
+    Word,
+    _has_insertion_cycle,
+    _point_candidates,
+    _table_attack,
+)
+from sdattack.synth import AttackFunction
+
+
+class _ObservedExplorer(Explorer):
+    """An `Explorer` that reports every (endpoint, event) reaction it computes."""
+
+    def __init__(self, cfg: ClosedLoopConfig, reaction_observer) -> None:
+        super().__init__(cfg)
+        self.reaction_observer = reaction_observer
+
+    def _react(self, ends, e):
+        for r, _ in ends:
+            self.reaction_observer(r, e)
+        return super()._react(ends, e)
+
+
+def reference_enumerate_attackers(
+    sc, bounds: EnumBounds = EnumBounds(), certifying_only: bool = False
+):
+    """Yield every total attack strategy within the bounds, one exploration per table."""
+    if len(sc.plant.states) > bounds.max_states:
+        raise OracleBudgetError("plant too large for exhaustive enumeration")
+    if len(sc.plant.obs_events) > bounds.max_obs:
+        raise OracleBudgetError("too many observable events for enumeration")
+    yielded = 0
+
+    def missing(table: dict):
+        fa = _table_attack(sc, table)
+        holes: list = []
+
+        def observe(r: State, e: str) -> None:
+            if (r, e) not in table:
+                holes.append((r, e))
+
+        cfg = ClosedLoopConfig(
+            sc.plant, sc.rtilde, fa, bounds.horizon, sc.x_crit
+        )
+        ex = _ObservedExplorer(cfg, reaction_observer=observe)
+        ex.run()
+        hole = min(holes, key=lambda h: (len(h[0]), h[0], h[1])) if holes else None
+        return hole, fa, bool(ex.stealth_violations)
+
+    def rec(table: dict):
+        nonlocal yielded
+        if len(table) > bounds.max_points:
+            raise OracleBudgetError("reaction table grew past the point budget")
+        point, fa, broken = missing(table)
+        if certifying_only and broken:
+            return
+        if point is None:
+            yielded += 1
+            if yielded > bounds.max_attackers:
+                raise OracleBudgetError("too many attackers within the bounds")
+            yield fa
+            return
+        for choice in _point_candidates(sc, point, bounds):
+            table[point] = choice
+            yield from rec(table)
+            del table[point]
+
+    for init_choice in _point_candidates(sc, None, bounds):
+        yield from rec({None: init_choice})
+
+
+def reference_check_embedding(
+    fa: AttackFunction, ida: IDA, horizon: int, cut: int | None = None
+) -> list[tuple[Word, Word]]:
+    """Edited histories the game cannot follow, every prefix walked from the start."""
+    if cut is None and _has_insertion_cycle(fa):
+        raise OracleBudgetError(
+            "cyclic attack encoder: pass an explicit reaction cut"
+        )
+    cfg = ClosedLoopConfig(
+        plant=ida.ctx.plant,
+        rt=ida.ctx.rt,
+        attack=fa,
+        horizon=horizon,
+    )
+    ex = Explorer(cfg)
+    bad: list[tuple[Word, Word]] = []
+    for obs in ex.realizable_observations():  # each history once
+        for t in sorted(fhat_strings(fa, obs, cut)):
+            for i in range(len(t)):
+                if induced_e_state(ida, t[:i]) is None:
+                    bad.append((obs, t[:i]))
+                    break
+    return bad

@@ -16,16 +16,19 @@ from sdattack.oracle import (
     _has_insertion_cycle,
     check_embedding,
     check_problem1,
-    closed_loop_language,
     enumerate_attackers,
-    fhat_strings,
-    in_closed_loop,
-    nominal_closed_loop,
     reach_estimate,
     supervisor_decision,
 )
 from sdattack.prune import prune_interruptible
 from sdattack.synth import AttackFunction, relay_attack_function, synthesize
+
+from literal_reference import (
+    closed_loop_language,
+    fhat_strings,
+    in_closed_loop,
+    nominal_closed_loop,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,19 +45,6 @@ def demo_cfg(demo_scenario, demo_attack):
         horizon=6,
         x_crit=demo_scenario.x_crit,
     )
-
-
-@pytest.fixture(scope="module")
-def one_shot():
-    """Two-state plant, one compromised observable, permissive supervisor."""
-    a = EventDecl("a", True, True)
-    plant = Automaton(
-        name="P", states=("0", "1"), events=(a,), trans={("0", "a"): "1"}, initial="0"
-    )
-    sup = Automaton(
-        name="S", states=("r0",), events=(a,), trans={("r0", "a"): "r0"}, initial="r0"
-    )
-    return plant, sup
 
 
 class TestEstimates:
