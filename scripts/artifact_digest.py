@@ -1,8 +1,9 @@
 """Print one sha256 digest per (config, command) pair of the CLI.
 
 The configs are the demo scenario and `randgen.random_scenario(Random(s),
-max_states=5)` for s in 0..59, each in four attacker modes (interruptible,
-unbounded, bounded with n_a = 1 and 2) and both goal strengths.  Every
+max_states=5)` for s in 0..59, each in five attacker modes (interruptible,
+unbounded, bounded with n_a = 1 and 2, and bounded with n_a = 1 and
+`bound_initial_insertions = false`) and both goal strengths.  Every
 config runs `build-aida`, `prune`, `synthesize`, `verify` and `export-dot`
 (aida and pruned stages) in this process; a digest covers the command's
 stdout and its exit code.  The scenarios are written to a temporary
@@ -32,7 +33,14 @@ from sdattack.randgen import random_scenario
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo" / "attack.cfg"
 COUNT = 60  # random scenarios, seeds 0..COUNT-1
-MODES = (("interruptible", None), ("unbounded", None), ("bounded", 1), ("bounded", 2))
+# (mode, n_a, bound_initial_insertions)
+MODES = (
+    ("interruptible", None, True),
+    ("unbounded", None, True),
+    ("bounded", 1, True),
+    ("bounded", 2, True),
+    ("bounded", 1, False),
+)
 STRENGTHS = ("strong", "weak")
 COMMANDS = (
     ["build-aida"],
@@ -51,10 +59,13 @@ def write_variants(sc, tmp: Path) -> list[tuple[str, Path]]:
     write_automaton(sc.plant, folder / "plant.aut")
     write_automaton(sc.supervisor.automaton, folder / "supervisor.aut")
     out = []
-    for mode, n_a in MODES:
+    for mode, n_a, bounded_burst in MODES:
         for strength in STRENGTHS:
-            tag = f"{mode}{n_a or ''}"
-            var = replace(sc, mode=mode, n_a=n_a, strength=strength)
+            tag = f"{mode}{n_a or ''}{'' if bounded_burst else 'free'}"
+            var = replace(
+                sc, mode=mode, n_a=n_a, strength=strength,
+                bound_initial_insertions=bounded_burst,
+            )
             cfg = folder / f"{tag}-{strength}.cfg"
             cfg.write_text(format_scenario_config(var), encoding="utf-8")
             out.append((f"{sc.name}/{tag}/{strength}", cfg))

@@ -78,6 +78,18 @@ class EditAlphabet:
         """Everything an edited string may contain."""
         return self.sigma_o | self.editable
 
+    @cached_property
+    def _heads(self) -> dict[str, tuple[str, ...]]:
+        return {e: (e, deleted(e)) if e in self.sigma_a else (e,) for e in self.sigma_o}
+
+    def reaction_heads(self, e: str) -> tuple[str, ...]:
+        """The symbols that pass the observation `e` on: `e`, then `e.del` if compromised.
+
+        A reaction to `e` starts with one of them, and `e` cannot outrun
+        the attacker while one of them is playable.
+        """
+        return self._heads.get(e, (e,))
+
     def check_string(self, s: Iterable[str]) -> None:
         for sym in s:
             if sym not in self.edit_symbols:

@@ -29,7 +29,8 @@ from .game import (
 )
 from .supervisor import DEAD, RTilde, SupervisorRealization, build_rtilde, validate_supervisor
 
-MODES = ("interruptible", "unbounded", "bounded")
+DETERMINISTIC = ("unbounded", "bounded")  # modes whose attacker commits to its insertions
+MODES = ("interruptible", *DETERMINISTIC)
 
 
 @dataclass
@@ -69,6 +70,11 @@ class Scenario:
     @cached_property
     def ctx(self) -> GameContext:
         return GameContext(self.plant, self.rtilde, self.ea)
+
+    @property
+    def initial_counter(self) -> int:
+        """The `counter_step` counter before the first observation."""
+        return 0 if self.bound_initial_insertions else FREE_COUNTER
 
 
 def make_scenario(
@@ -293,7 +299,7 @@ def construct_baida(sc: Scenario, aida: IDA | None = None) -> IDA:
             queue.append((x, node))
         return x
 
-    x0 = visit(aida.initial, 0 if sc.bound_initial_insertions else FREE_COUNTER)
+    x0 = visit(aida.initial, sc.initial_counter)
     while queue:
         x, node = queue.popleft()
         if x.side == S_SIDE:

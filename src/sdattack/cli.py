@@ -23,7 +23,7 @@ from .modelio import (
 )
 from .oracle import ClosedLoopConfig, OracleBudgetError, check_problem1
 from .prune import prune
-from .synth import SynthesisError, decision_table, synthesize
+from .synth import SynthesisError, check_initial_burst, decision_table, synthesize
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -98,6 +98,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         fa = result.attack
     else:
         fa = read_attack(args.attack, sc.ea)
+        check_initial_burst(fa, sc)
     cfg = ClosedLoopConfig(sc.plant, sc.rtilde, fa, args.horizon, sc.x_crit)
     verdict = check_problem1(cfg, sc.strength)
     print(f"admissible: {'yes' if verdict.admissible else 'no'}")

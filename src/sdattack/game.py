@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .alphabet import EditAlphabet, base_event, deleted, is_deleted, is_inserted
+from .alphabet import EditAlphabet, base_event, is_deleted, is_inserted
 from .automata import (
     Automaton,
     ModelError,
@@ -223,20 +223,18 @@ def is_race_free(z: Node, ida: IDA) -> bool:
     """No enabled-and-feasible observation may outrun the attacker.
 
     At an E-state every event the supervisor enables and the plant can
-    execute must have either its genuine edge or its deletion edge present.
-    Pruning keeps the same test as counts of unmet requirements.
+    execute must have one of its reaction heads (the genuine edge or the
+    deletion edge) present.  Pruning keeps the same test as counts of
+    unmet requirements.
     """
     if z.side != E_SIDE:
         raise ModelError("race-freeness is a property of E-states")
-    sigma_a = ida.ctx.ea.sigma_a
+    heads = ida.ctx.ea.reaction_heads
     labels = ida.out_labels(z)
-    for ev in Successors(ida.ctx).race_events(z.info):
-        if ev in labels:
-            continue
-        if ev in sigma_a and deleted(ev) in labels:
-            continue
-        return False
-    return True
+    return all(
+        any(sym in labels for sym in heads(ev))
+        for ev in Successors(ida.ctx).race_events(z.info)
+    )
 
 
 def is_subsystem(small: IDA, big: IDA) -> bool:

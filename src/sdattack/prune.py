@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .alphabet import deleted, is_inserted
+from .alphabet import is_inserted
 from .build import Scenario, construct_baida
 from .game import IDA, Node, Successors, gamma_label
 from .supervisor import DEAD
@@ -192,7 +192,7 @@ def _prune_flagging(
             lost_uc[s] += 1
 
     succ = Successors(base.ctx)
-    sigma_a = base.ctx.ea.sigma_a
+    heads = base.ctx.ea.reaction_heads
     requirement = [-1] * len(src)  # edge -> the requirement it can meet
     met: list[int] = []  # requirement -> live edges meeting it
     unmet = [0] * n
@@ -202,11 +202,8 @@ def _prune_flagging(
         by_label = {g.label[e]: e for e in out[z]}
         for ev in succ.race_events(nodes[z].info):
             r = len(met)
-            cover = [by_label.get(ev)]
-            if ev in sigma_a:
-                cover.append(by_label.get(deleted(ev)))
             count = 0
-            for e in cover:
+            for e in map(by_label.get, heads(ev)):
                 if e is not None:
                     requirement[e] = r
                     count += live[e]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .automata import Automaton, EventDecl, ModelError, trim_accessible
+from .automata import Automaton, EventDecl, ModelError, observer, trim_accessible
 from .build import Scenario, make_scenario
 
 _EVENT_NAMES = ("a", "b", "c", "d")
@@ -35,8 +35,6 @@ def _random_supervisor(
     unobs_loop: float,
 ) -> Automaton:
     """Observer skeleton with some controllable edges withheld."""
-    from .automata import observer
-
     obs = observer(plant)
     trans = dict(obs.trans)
     for (x, ev), y in list(trans.items()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .alphabet import EditAlphabet, base_event, deleted, inserted, is_deleted, is_inserted
 from .automata import Automaton, EventDecl, ModelError, State, state_token
-from .build import FREE_COUNTER, Scenario, construct_aida, construct_baida
+from .build import DETERMINISTIC, Scenario, construct_aida, counter_step
 from .game import E_SIDE, IDA, Node, gamma_label
 from .prune import PruneResult, prune
 
@@ -45,7 +45,7 @@ class AttackFunction:
 
     @property
     def deterministic(self) -> bool:
-        return self.mode in ("unbounded", "bounded")
+        return self.mode in DETERMINISTIC
 
     def state_after(self, s: tuple[str, ...]) -> State | None:
         cur: State | None = self.f.initial
@@ -55,24 +55,19 @@ class AttackFunction:
             cur = self.f.succ(cur, sym)
         return cur
 
-    def chain_from(self, r: State) -> tuple[str, ...] | None:
+    def chain_from(self, r: State) -> tuple[str, ...]:
         """Committed insertion chain of a deterministic attacker, from r.
 
-        None signals a chain that never terminates (construction rejects it).
+        `check_shape` guarantees that every chain is a path of the encoder
+        and ends.
         """
         out: list[str] = []
-        seen = {r}
-        cur = r
-        while True:
-            sym = self.auto_insert.get(cur)
-            if sym is None:
-                return tuple(out)
-            nxt = self.f.succ(cur, sym)
-            if nxt is None or nxt in seen:
-                return None
+        sym = self.auto_insert.get(r)
+        while sym is not None:
             out.append(sym)
-            seen.add(nxt)
-            cur = nxt
+            r = self.f.trans[(r, sym)]
+            sym = self.auto_insert.get(r)
+        return tuple(out)
 
 
 def check_shape(fa: AttackFunction) -> None:
@@ -82,9 +77,10 @@ def check_shape(fa: AttackFunction) -> None:
         if d.name not in symbols:
             raise ModelError(f"attack encoder event {d.name!r} outside edit alphabet")
     if fa.deterministic:
+        heads = [fa.ea.reaction_heads(e) for e in fa.ea.sigma_a]  # (e, e.del) each
         for r in fa.f.states:
-            for e in fa.ea.sigma_a:
-                if (r, e) in fa.f.trans and (r, deleted(e)) in fa.f.trans:
+            for e, e_del in heads:
+                if (r, e) in fa.f.trans and (r, e_del) in fa.f.trans:
                     raise ModelError(
                         f"deterministic encoder offers both {e!r} and its deletion"
                     )
@@ -132,30 +128,33 @@ def _chain_lengths(fa: AttackFunction) -> dict[State, int | None]:
 def _check_reaction_bound(fa: AttackFunction, lengths: dict[State, int]) -> None:
     """Every committed reaction must fit the declared bound.
 
-    A reaction to an uncompromised event starts at weight 0, to a
-    compromised (or deleted) one at weight 1; each insertion adds 1.
-    Counter-carrying states make this exact; plain states are checked
-    pessimistically the same way.
+    A reaction starts at the `counter_step` count of its genuine or deleted
+    symbol, and each committed insertion adds one.  Whether the initial
+    burst is bounded is the scenario's setting (`check_initial_burst`).
     """
     assert fa.n_a is not None
     for r in fa.f.states:
         for sym, dst in fa.f.out_edges(r):
             if is_inserted(sym):
                 continue
-            weight = 1 if (is_deleted(sym) or sym in fa.ea.sigma_a) else 0
-            if weight + lengths[dst] > fa.n_a:
-                raise ModelError(
-                    f"reaction to {sym!r} has length {weight + lengths[dst]} > {fa.n_a}"
-                )
-    if not _free_state(fa.f.initial) and lengths[fa.f.initial] > fa.n_a:
-        raise ModelError(f"initial burst longer than the bound {fa.n_a}")
+            n = counter_step(fa.ea, fa.n_a, 0, sym) + lengths[dst]
+            if n > fa.n_a:
+                raise ModelError(f"reaction to {sym!r} has length {n} > {fa.n_a}")
 
 
-def _free_state(r: State) -> bool:
-    """Counter-carrying state in the pre-observation zone (unbounded burst)."""
-    if isinstance(r, Node):
-        return r.counter == FREE_COUNTER
-    return isinstance(r, str) and r.endswith(f"#{FREE_COUNTER}")
+def check_initial_burst(fa: AttackFunction, sc: Scenario) -> None:
+    """Refuse a bounded strategy whose initial burst the scenario's bound forbids.
+
+    The encoder alone cannot tell whether its initial burst is bounded, so
+    this is checked where a strategy meets its scenario.
+    """
+    if fa.mode != "bounded":
+        return
+    n = sc.initial_counter
+    for sym in fa.chain_from(fa.f.initial):
+        n = counter_step(fa.ea, fa.n_a, n, sym)
+        if n is None:
+            raise ModelError(f"initial burst longer than the bound {fa.n_a}")
 
 
 def feasibility(pruned: IDA, x_crit: frozenset[State], strength: str) -> Node | None:
@@ -205,19 +204,6 @@ def shortest_path(pruned: IDA, target: Node) -> list[tuple[Node, str, Node]]:
         cur = prev
     edges.reverse()
     return edges
-
-
-def _edit_event_decls(plant: Automaton, ea: EditAlphabet) -> tuple[EventDecl, ...]:
-    """Event declarations for an encoder: observables plus their edit twins."""
-    decls: list[EventDecl] = []
-    for d in plant.events:
-        if not d.observable:
-            continue
-        decls.append(d)
-        if d.name in ea.sigma_a:
-            decls.append(EventDecl(deleted(d.name), True, True))
-            decls.append(EventDecl(inserted(d.name), True, True))
-    return tuple(decls)
 
 
 def _contract(pruned: IDA, y: Node) -> Node:
@@ -283,7 +269,6 @@ def expand_path(
     (deterministic modes) flagged states commit to inserting their way
     out before the plant can move again.
     """
-    mode = sc.mode
     if pruned.initial not in pruned.nodes:
         raise SynthesisError("empty pruned game")
     z0 = _contract(pruned, pruned.initial)
@@ -300,8 +285,9 @@ def expand_path(
         if is_inserted(sym):
             committed.setdefault(src, (sym, tgt))
 
+    det = sc.mode in DETERMINISTIC
     exits: dict[Node, tuple[str, Node] | None] = {}
-    if mode in ("unbounded", "bounded"):
+    if det:
         exits = _insertion_exit_map(pruned, flagged, base_order)
 
     states: list[Node] = []
@@ -316,7 +302,7 @@ def expand_path(
                 enqueued.add(node)
                 queue.append(node)
 
-        if mode in ("unbounded", "bounded"):
+        if det:
             if q in committed:
                 auto[q] = committed[q][0]
             elif q in flagged:
@@ -328,8 +314,6 @@ def expand_path(
                 sym, tgt = exit_move
                 trans[(q, sym)] = tgt
                 auto[q] = sym
-            else:
-                auto[q] = None
         for sym, y in pruned.es_adj.get(q, ()):
             if (q, sym) in trans:
                 visit(trans[(q, sym)])
@@ -350,25 +334,39 @@ def expand_path(
             trans[(q, sym)] = _contract(pruned, y)
             visit(trans[(q, sym)])
 
-    used = set(enqueued)
-    decls = _edit_event_decls(sc.plant, sc.ea)
-    f = Automaton(
-        name=f"attack({sc.name})",
-        states=tuple(states),
-        events=tuple(decls),
-        trans={k: v for k, v in trans.items() if k[0] in used and v in used},
-        initial=z0,
-    )
-    if mode == "interruptible":
-        return AttackFunction(f, mode, sc.ea, initial_epsilon=True)
-    auto = {r: auto.get(r) for r in states}
+    trans = {k: v for k, v in trans.items() if k[0] in enqueued and v in enqueued}
+    return make_attack(sc, f"attack({sc.name})", tuple(states), trans, z0, auto)
+
+
+def make_attack(
+    sc: Scenario,
+    name: str,
+    states: tuple[State, ...],
+    trans: dict[tuple[State, str], State],
+    initial: State,
+    auto_insert: dict[State, str | None] | None = None,
+    initial_epsilon: bool = True,
+) -> AttackFunction:
+    """A strategy of the scenario's attacker class, from its encoder.
+
+    The encoder's events are the plant's observables, each compromised one
+    followed by its deletion and its insertion.  A deterministic attacker
+    commits to `auto_insert` (a state it omits ends the reaction) and may
+    skip the initial burst exactly when it commits to nothing at the
+    initial state; an interruptible one takes `initial_epsilon`.
+    """
+    decls: list[EventDecl] = []
+    for d in sc.plant.events:
+        if d.observable:
+            decls.append(d)
+            edits = (deleted(d.name), inserted(d.name))
+            decls += [EventDecl(sym, True, True) for sym in edits if sym in sc.ea.editable]
+    f = Automaton(name, states, tuple(decls), trans, initial)
+    if sc.mode not in DETERMINISTIC:
+        return AttackFunction(f, sc.mode, sc.ea, initial_epsilon=initial_epsilon)
+    auto = {r: (auto_insert or {}).get(r) for r in f.states}
     return AttackFunction(
-        f,
-        mode,
-        sc.ea,
-        n_a=sc.n_a,
-        auto_insert=auto,
-        initial_epsilon=(auto.get(z0) is None),
+        f, sc.mode, sc.ea, n_a=sc.n_a, auto_insert=auto, initial_epsilon=auto[initial] is None
     )
 
 
@@ -381,22 +379,15 @@ def reactions(
     continuation (simple paths unless max_len forces longer enumeration);
     deterministic attackers yield the single committed string.
     """
-    starts: list[tuple[str, ...]] = []
-    if (r, e) in fa.f.trans:
-        starts.append((e,))
-    if e in fa.ea.sigma_a and (r, deleted(e)) in fa.f.trans:
-        starts.append((deleted(e),))
     out: set[tuple[str, ...]] = set()
-    for first in starts:
-        landing = fa.f.succ(r, first[0])
-        assert landing is not None
+    for sym in fa.ea.reaction_heads(e):
+        landing = fa.f.succ(r, sym)
+        if landing is None:
+            continue
         if fa.deterministic:
-            chain = fa.chain_from(landing)
-            if chain is None:
-                raise ModelError("committed insertion chain never terminates")
-            out.add(first + chain)
+            out.add((sym,) + fa.chain_from(landing))
         else:
-            out.update(first + tail for tail in _insertion_prefixes(fa, landing, max_len))
+            out.update((sym,) + tail for tail in _insertion_prefixes(fa, landing, max_len))
     return frozenset(out)
 
 
@@ -406,10 +397,7 @@ def initial_reactions(
     """The initial burst set: what the attacker may do before anything happens."""
     r = fa.f.initial
     if fa.deterministic:
-        chain = fa.chain_from(r)
-        if chain is None:
-            raise ModelError("committed insertion chain never terminates")
-        return frozenset({chain})
+        return frozenset({fa.chain_from(r)})
     tails = _insertion_prefixes(fa, r, max_len)
     if not fa.initial_epsilon:
         tails = {t for t in tails if t}
@@ -491,26 +479,11 @@ def synthesize(sc: Scenario, prefer_deletion: bool = False) -> SynthesisResult:
     return SynthesisResult(sc, pruned, target, path, fa)
 
 
-def relay_attack_function(sc) -> AttackFunction:
+def relay_attack_function(sc: Scenario) -> AttackFunction:
     """The do-nothing attacker: every observation is forwarded unchanged."""
-    decls = _edit_event_decls(sc.plant, sc.ea)
     q0 = "relay"
-    f = Automaton(
-        name="relay",
-        states=(q0,),
-        events=decls,
-        trans={(q0, e.name): q0 for e in decls if e.name in sc.ea.sigma_o},
-        initial=q0,
-    )
-    det = sc.mode in ("unbounded", "bounded")
-    return AttackFunction(
-        f,
-        sc.mode,
-        sc.ea,
-        n_a=sc.n_a,
-        auto_insert={q0: None} if det else {},
-        initial_epsilon=True,
-    )
+    trans = {(q0, d.name): q0 for d in sc.plant.events if d.observable}
+    return make_attack(sc, "relay", (q0,), trans, q0)
 
 
 def decision_table(fa: AttackFunction, max_len: int | None = 8) -> str:

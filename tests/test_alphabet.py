@@ -53,6 +53,17 @@ class TestEditAlphabet:
         assert EA.editable == {"b.ins", "c.ins", "b.del", "c.del"}
         assert EA.edit_symbols == {"a", "b", "c", "b.ins", "c.ins", "b.del", "c.del"}
 
+    def test_reaction_heads(self):
+        # the genuine symbol first, then the deletion of a compromised event
+        assert EA.reaction_heads("a") == ("a",)
+        assert EA.reaction_heads("b") == ("b", "b.del")
+        assert EA.reaction_heads("c") == ("c", "c.del")
+        for e in EA.sigma_o:
+            heads = EA.reaction_heads(e)
+            assert all(EA.plant_view((h,)) == (e,) for h in heads)
+            assert set(heads) - {e} == {h for h in EA.deletions if base_event(h) == e}
+        assert EditAlphabet(frozenset({"a"}), frozenset()).reaction_heads("a") == ("a",)
+
     def test_check_string_rejects_foreign_symbols(self):
         EA.check_string(("a", "b.ins", "c.del"))
         with pytest.raises(ModelError):

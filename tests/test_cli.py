@@ -187,6 +187,36 @@ class TestVerify:
         assert main(["verify", CFG, "--horizon", "4"]) == 0
         assert "horizon: 4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("initial", ["s", "s#-1"])
+    def test_initial_burst_bound_comes_from_the_scenario(
+        self, tmp_path, demo_scenario, capsys, initial
+    ):
+        # Two committed insertions before the first observation, at n_a = 1:
+        # refused exactly when the scenario bounds the initial burst, whatever
+        # the initial state is called.
+        strategy = tmp_path / "burst.strategy"
+        lines = [
+            "strategy", "mode bounded", "n_a 1", "initial_epsilon false",
+            "automaton F", "event a obs unctrl", "event b obs ctrl",
+            "event b.del obs ctrl", "event b.ins obs ctrl", "event c obs ctrl",
+            f"state {initial} initial", "state s1", "state s2",
+            f"trans {initial} b.ins s1", "trans s1 b.ins s2",
+            "trans s2 a s2", "trans s2 b s2", "trans s2 c s2",
+            f"auto {initial} b.ins", "auto s1 b.ins", "auto s2 -",
+        ]
+        strategy.write_text("\n".join(lines) + "\n")
+        for bounded, code in (("true", 2), ("false", 1)):
+            cfg = write_variant(
+                tmp_path, demo_scenario, mode="bounded", n_a=1,
+                bound_initial_insertions=bounded,
+            )
+            assert main(["verify", cfg, "--attack", str(strategy)]) == code, bounded
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert "initial burst longer than the bound 1" in err
+            else:
+                assert "stealthy:   no" in out and "verdict: fail" in out
+
 
 class TestExportDot:
     @pytest.mark.parametrize("stage", ["plant", "supervisor", "rtilde", "aida", "pruned"])

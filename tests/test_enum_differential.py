@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from enum_reference import reference_check_embedding, reference_enumerate_attackers
-from sdattack.automata import Automaton, ModelError
+from sdattack.automata import ModelError
 from sdattack.build import construct_aida, make_scenario
 from sdattack.oracle import (
     EnumBounds,
@@ -19,7 +19,7 @@ from sdattack.oracle import (
 )
 from sdattack.prune import prune_interruptible
 from sdattack.randgen import tiny_scenario
-from sdattack.synth import AttackFunction, _edit_event_decls
+from sdattack.synth import AttackFunction, make_attack
 
 MODES = (("interruptible", None), ("unbounded", None), ("bounded", 1), ("bounded", 2))
 BOUNDS = EnumBounds(max_attackers=50)
@@ -89,15 +89,16 @@ def test_the_sweep_exercises_what_it_compares():
     assert assert_same_embedding(attackers[:30], isda) > 0
 
 
-def test_initial_burst_past_the_bound_is_refused_alike():
+def test_initial_burst_past_the_bound_is_enumerated_alike():
     # Without a bound on the initial burst, the candidates include bursts
-    # longer than n_a, whose encoder fails its shape check.
+    # longer than n_a; their encoders are legal bounded attackers.
     for seed in (1, 8):
         base = tiny_scenario(Random(seed), name=f"tiny{seed}")
         sc = replace(base, mode="bounded", n_a=1, bound_initial_insertions=False)
         assert_same_enumeration(sc)
-        _, refusal = outcome(enumerate_attackers(sc, BOUNDS))
-        assert refusal is not None and refusal[0] == "ModelError"
+        attackers, refusal = outcome(enumerate_attackers(sc, BOUNDS))
+        assert refusal is None
+        assert any(len(fa.chain_from(fa.f.initial)) > sc.n_a for fa in attackers)
 
 
 def test_one_shot_instance(one_shot):
@@ -115,14 +116,8 @@ def test_demo_refusal(demo_scenario):
 
 def test_embedding_with_a_reaction_cut(demo_scenario):
     """A cyclic encoder, expanded to a cut, on the full and the pruned arena."""
-    f = Automaton(
-        name="cyc",
-        states=("r",),
-        events=_edit_event_decls(demo_scenario.plant, demo_scenario.ea),
-        trans={("r", "a"): "r", ("r", "b"): "r", ("r", "c"): "r", ("r", "b.ins"): "r"},
-        initial="r",
-    )
-    fa = AttackFunction(f, "interruptible", demo_scenario.ea)
+    trans = {("r", "a"): "r", ("r", "b"): "r", ("r", "c"): "r", ("r", "b.ins"): "r"}
+    fa = make_attack(demo_scenario, "cyc", ("r",), trans, "r")
     aida = construct_aida(demo_scenario)
     isda = prune_interruptible(aida, demo_scenario).ida
     for ida in (aida, isda):

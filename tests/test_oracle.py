@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
-from sdattack.alphabet import EditAlphabet
-from sdattack.automata import Automaton, EventDecl, ModelError
+from sdattack.alphabet import EditAlphabet, base_event, is_inserted
+from sdattack.automata import (
+    Automaton,
+    EventDecl,
+    ModelError,
+    next_states,
+    unobservable_reach,
+)
 from sdattack.build import construct_aida, make_scenario
 from sdattack.game import IDA
 from sdattack.oracle import (
@@ -21,6 +29,7 @@ from sdattack.oracle import (
     supervisor_decision,
 )
 from sdattack.prune import prune_interruptible
+from sdattack.randgen import random_scenario
 from sdattack.synth import AttackFunction, relay_attack_function, synthesize
 
 from literal_reference import (
@@ -66,6 +75,31 @@ class TestEstimates:
         assert reach_estimate(plant, rt, ea, ("a", "b.del")) == {"3"}
         assert reach_estimate(plant, rt, ea, ("a", "b.ins")) == {"1"}
         assert reach_estimate(plant, rt, ea, ("a", "b.ins", "c")) == {"2"}
+
+    def test_reach_estimate_matches_the_prefix_formula(self):
+        """The stepped estimate against re-deciding every prefix from scratch."""
+
+        def by_prefixes(plant, rt, ea, edited):
+            est = unobservable_reach(plant, {plant.initial}, supervisor_decision(rt, ea, ()))
+            for i, sym in enumerate(edited, 1):
+                if not is_inserted(sym):
+                    est = next_states(plant, est, base_event(sym))
+                est = unobservable_reach(plant, est, supervisor_decision(rt, ea, edited[:i]))
+            return est
+
+        left_model = nonempty = 0
+        for seed in range(40):
+            sc = random_scenario(Random(seed), name=f"rand{seed}")
+            plant, rt, ea = sc.plant, sc.rtilde, sc.ea
+            rng = Random(1000 + seed)
+            symbols = sorted(ea.edit_symbols)
+            for _ in range(25):
+                edited = tuple(rng.choice(symbols) for _ in range(rng.randint(0, 8)))
+                est = reach_estimate(plant, rt, ea, edited)
+                assert est == by_prefixes(plant, rt, ea, edited), (seed, edited)
+                left_model += not supervisor_decision(rt, ea, edited)
+                nonempty += bool(est)
+        assert left_model > 100 and nonempty > 100
 
     def test_reach_estimate_guards(self, demo_scenario, demo_attack):
         plant, rt, ea = demo_scenario.plant, demo_scenario.rtilde, demo_scenario.ea
