@@ -6,8 +6,12 @@ unbounded, bounded with n_a = 1 and 2, and bounded with n_a = 1 and
 `bound_initial_insertions = false`) and both goal strengths.  Every
 config runs `build-aida`, `prune`, `synthesize`, `verify` and `export-dot`
 (aida and pruned stages) in this process; a digest covers the command's
-stdout and its exit code.  The scenarios are written to a temporary
-directory, so no path reaches the output.
+stdout and its exit code.  A last digest per config covers a round trip:
+`synthesize -o` writes the strategy to a file and `verify --attack`
+replays it (the digest of `verify`'s stdout and exit code, or of the exit
+code of `synthesize` when it writes nothing).  That is 4,270 lines, seven
+per config.  The scenarios are written to a temporary directory, so no
+path reaches the output.
 
 Two checkouts agree on every artifact when this script prints the same
 bytes in both, for example under different hash seeds:
@@ -72,15 +76,30 @@ def write_variants(sc, tmp: Path) -> list[tuple[str, Path]]:
     return out
 
 
-def run(argv: list[str]) -> str:
-    """sha256 of the command's stdout followed by its exit code."""
+def call(argv: list[str]) -> tuple[str, int]:
+    """The command's stdout and exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli_main(argv)
         except SystemExit as exc:
             code = exc.code
-    return hashlib.sha256(f"{out.getvalue()}\nexit {code}\n".encode()).hexdigest()
+    return out.getvalue(), code
+
+
+def run(argv: list[str]) -> str:
+    """sha256 of the command's stdout followed by its exit code."""
+    out, code = call(argv)
+    return hashlib.sha256(f"{out}\nexit {code}\n".encode()).hexdigest()
+
+
+def round_trip(cfg: Path) -> str:
+    """`synthesize -o` to a file, then `verify --attack` of that file."""
+    strategy = cfg.with_suffix(".fa")
+    _, code = call(["synthesize", str(cfg), "-o", str(strategy)])
+    if code != 0:
+        return hashlib.sha256(f"synthesize exit {code}\n".encode()).hexdigest()
+    return run(["verify", str(cfg), "--attack", str(strategy)])
 
 
 def main() -> int:
@@ -94,6 +113,7 @@ def main() -> int:
                 for cmd in COMMANDS:
                     digest = run([cmd[0], str(cfg), *cmd[1:]])
                     print(f"{digest} {label} {' '.join(cmd)}", flush=True)
+                print(f"{round_trip(cfg)} {label} synthesize -o | verify --attack", flush=True)
     return 0
 
 

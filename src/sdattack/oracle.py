@@ -24,7 +24,7 @@ that table.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from .alphabet import EditAlphabet, base_event, is_deleted, is_inserted
@@ -62,7 +62,7 @@ class Verdict:
     strong_hit: bool
     weak_witness: Word | None
     strong_witness: Word | None
-    counterexamples: list[tuple[Word, str]]
+    counterexamples: list[tuple[Word, str]]  # each (history, reason) once, as found
     horizon: int
     notes: list[str] = field(default_factory=list)
 
@@ -113,25 +113,36 @@ def reach_estimate(
 _PRE, _MID, _ROOT = "pre", "mid", "root"
 
 
-@dataclass(frozen=True, slots=True)
 class _Pos:
-    """A reaction position, hashed once to `hash((phase, r, q))`."""
+    """A reaction position: the phase, the attack state `r` and the
+    supervisor state `q`, None once the supervisor view left the model.
+    A position is never changed once made.  It keeps its hash, and its
+    sort key from the first time it is asked for."""
 
-    phase: str
-    r: State
-    q: State | None  # None once the supervisor view left the model
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("phase", "r", "q", "_hash", "_key")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.phase, self.r, self.q)))
+    def __init__(self, phase: str, r: State, q: State | None) -> None:
+        self.phase, self.r, self.q = phase, r, q
+        self._hash = hash((phase, r, q))
+        self._key: tuple[str, str, str] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _Pos)
+            and self.phase == other.phase
+            and self.r == other.r
+            and self.q == other.q
+        )
 
     def __hash__(self) -> int:
         return self._hash
 
     def key(self) -> tuple[str, str, str]:
-        rtok = self.r.token() if isinstance(self.r, Node) else state_token(self.r)
-        qtok = "?" if self.q is None else state_token(self.q)
-        return (self.phase, rtok, qtok)
+        if self._key is None:
+            rtok = self.r.token() if isinstance(self.r, Node) else state_token(self.r)
+            qtok = "?" if self.q is None else state_token(self.q)
+            self._key = (self.phase, rtok, qtok)
+        return self._key
 
 
 class _MacroSteps:
@@ -140,10 +151,17 @@ class _MacroSteps:
     A macro state holds nodes, pairs (plant state, reaction position), and
     reaction endpoints, pairs (attack state, supervisor state).  A position
     is an attack state plus the supervisor completion state reached by the
-    edits so far.  Subclasses give the position rules: `_closure` (every
-    position the attacker's moves reach under a pending observation),
-    `_end` (a reaction may stop here) and `_sterile` (nothing may happen
-    here, because the recursion requires an existing reaction choice).
+    edits so far.  Subclasses give the position rules: `_walk` (the
+    positions the attacker's moves reach from some starts under a pending
+    observation, except those in `seen` and past them, added to `seen`;
+    or, ignoring `seen`, whole closures), `_end` (a reaction may stop
+    here) and `_sterile` (nothing may happen here, because the recursion
+    requires an existing reaction choice).
+
+    Each step below walks from all its starts at once and, where `_walk`
+    keeps `seen`, never past a position it has already walked, so it costs
+    time linear in the positions it touches (times the plant states they
+    pair with).
     """
 
     def __init__(self, plant: Automaton, rt: RTilde) -> None:
@@ -160,57 +178,59 @@ class _MacroSteps:
             return frozenset()
         return self.rt.gamma(q)
 
-    def _initial_ends(self, root: _Pos):
-        ends: list = []
-        viols: list[str] = []
-        for p in self._closure(root, None):
-            if p.q is None or p.q == DEAD:
-                viols.append("initial burst leaves the supervised language")
+    def _stops(self, starts, pending: str | None, msg: str):
+        """Endpoints reachable from `starts` past the PRE phase, and `msg`
+        once if such a position leaves the supervised language."""
+        ends: set = set()
+        out = False
+        for p in self._walk(starts, pending, set()):
+            if p.phase == _PRE:
+                continue
+            out = out or p.q is None or p.q == DEAD
             if self._end(p):
-                ends.append((p.r, p.q))
-        return frozenset(ends), viols
+                ends.add((p.r, p.q))
+        return frozenset(ends), (msg,) if out else ()
+
+    def _initial_ends(self, root: _Pos):
+        return self._stops((root,), None, "initial burst leaves the supervised language")
 
     def _reaction(self, ends: frozenset, e: str):
         """Endpoints after reacting to `e` from `ends`, and the violations."""
-        new_ends: set = set()
-        viols: list[str] = []
-        for r, q in ends:
-            for p in self._closure(_Pos(_PRE, r, q), e):
-                if p.phase == _PRE:
-                    continue
-                if p.q is None or p.q == DEAD:
-                    viols.append(
-                        f"reaction to {e!r} drives the supervisor view out "
-                        "of the supervised language"
-                    )
-                if self._end(p):
-                    new_ends.add((p.r, p.q))
-        return frozenset(new_ends), tuple(viols)
+        return self._stops(
+            [_Pos(_PRE, r, q) for r, q in ends],
+            e,
+            f"reaction to {e!r} drives the supervisor view out of the supervised language",
+        )
 
     def _fire(self, nodes, pending: str | None, e: str) -> dict:
         """Plant target -> first node whose reaction lets `e` fire."""
         fired: dict = {}
+        dead: set = set()  # positions that reach no endpoint enabling `e`
         for node in nodes:
             x, pos = node
             dst = self.plant.succ(x, e)
             if dst is None or dst in fired:
                 continue
-            for p2 in self._closure(pos, pending):
-                if self._end(p2) and e in self._gamma(p2.q):
+            reach = self._walk((pos,), pending, dead)
+            for p in reach:
+                if self._end(p) and e in self._gamma(p.q):
                     fired[dst] = node
+                    dead.difference_update(reach)  # some of them reach it
                     break
         return fired
 
     def _close_nodes(self, seeds: dict, pending: str | None):
         """Micro closure: fire enabled unobservable plant events at every
         advance-reachable, non-sterile position.  Returns nodes and local
-        parent links for witness reconstruction."""
+        parent links for witness reconstruction.  Each (plant state,
+        position) pair is handled once, a node's new positions in key order."""
         nodes = dict(seeds)
         queue = deque(seeds)
+        done: defaultdict = defaultdict(set)  # plant state -> positions handled for it
         while queue:
             node = queue.popleft()
             x, pos = node
-            for p2 in self._closure(pos, pending):
+            for p2 in self._walk((pos,), pending, done[x], True):
                 if self._sterile(p2, pending):
                     continue
                 gamma = self._gamma(p2.q)
@@ -240,7 +260,7 @@ class Explorer(_MacroSteps):
         super().__init__(cfg.plant, cfg.rt)
         self.cfg = cfg
         self.fa = cfg.attack
-        self._adv: dict[tuple[_Pos, str | None], tuple[_Pos, ...]] = {}
+        self._adv: dict = {}  # position, or (PRE position, pending) -> its moves
         self._react_memo: dict = {}
         self.macros: dict[tuple, Word] = {}
         self.trans: dict = {}
@@ -286,24 +306,32 @@ class Explorer(_MacroSteps):
                 out.append(_Pos(_MID, dst, self._mu(pos.q, base_event(sym))))
         return out
 
-    def _closure(self, pos: _Pos, pending: str | None) -> tuple[_Pos, ...]:
-        key = (pos, pending)
-        if key not in self._adv:
-            seen = {pos}
-            queue = [pos]
-            while queue:
-                cur = queue.pop()
-                for nxt in self._advance_step(cur, pending):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            self._adv[key] = tuple(sorted(seen, key=_Pos.key))
-        return self._adv[key]
+    def _next(self, pos: _Pos, pending: str | None) -> tuple[_Pos, ...]:
+        # only a PRE position's moves depend on the pending observation
+        key = (pos, pending) if pos.phase == _PRE else pos
+        out = self._adv.get(key)
+        if out is None:
+            out = self._adv[key] = tuple(self._advance_step(pos, pending))
+        return out
+
+    def _walk(self, starts, pending: str | None, seen: set, ordered: bool = False) -> list[_Pos]:
+        """Positions reachable from `starts` and not through `seen`, over the
+        memoized moves; adds them to `seen`.  `ordered` sorts them by key,
+        the order the witnesses' parent links are made in."""
+        found = []
+        for p in starts:
+            if p not in seen:
+                seen.add(p)
+                found.append(p)
+        for cur in found:  # grows while it is read
+            for nxt in self._next(cur, pending):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    found.append(nxt)
+        return sorted(found, key=_Pos.key) if ordered else found
 
     def _sterile(self, pos: _Pos, pending: str | None) -> bool:
-        if self._end(pos):
-            return False
-        return not self._advance_step(pos, pending)
+        return not self._end(pos) and not self._next(pos, pending)
 
     def _react(self, ends: frozenset, e: str):
         key = (ends, e)
@@ -750,6 +778,16 @@ class _TableSearch(_MacroSteps):
                     q = self._mu(q, base_event(sym))
                 out[_Pos(_MID, base + word[: i + 1], q)] = None
         return self._remember(key, tuple(out))
+
+    def _walk(
+        self, starts, pending: str | None, seen: set, ordered: bool = False
+    ) -> tuple[_Pos, ...] | list[_Pos]:
+        """The starts' whole closures, in no particular order.  A table's
+        reactions are a few symbols long, so walking them again costs less
+        than keeping `seen`."""
+        if len(starts) == 1:
+            return self._closure(starts[0], pending)
+        return [p for start in starts for p in self._closure(start, pending)]
 
     def _end(self, pos: _Pos) -> bool:
         if pos.phase == _PRE:

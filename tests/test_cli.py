@@ -29,6 +29,7 @@ from sdattack.synth import (
     synthesize,
 )
 
+from chains import chain_attack, chain_scenario
 from conftest import DEMO_DIR
 
 CFG = str(DEMO_DIR / "attack.cfg")
@@ -182,6 +183,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "admissible: no" in out
         assert "counterexample: a b (admissibility)" in out
+
+    def test_each_counterexample_is_printed_once(self, tmp_path, capsys):
+        # A reaction of an interruptible chain may stop at any of its
+        # positions; a failure reached from several of them is one line.
+        sc = chain_scenario(committed=False)
+        write_automaton(sc.plant, tmp_path / "plant.aut")
+        write_automaton(sc.supervisor.automaton, tmp_path / "supervisor.aut")
+        (tmp_path / "chain.cfg").write_text(format_scenario_config(sc))
+        write_attack(chain_attack(sc, 6, fail_at=3), tmp_path / "chain.fa")
+        argv = [str(tmp_path / "chain.cfg"), "--attack", str(tmp_path / "chain.fa")]
+        assert main(["verify", *argv, "--horizon", "4"]) == 1
+        printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("counterexample:")]
+        histories = (
+            "b", "a b", "b a", "b b", "b c", "b a a", "b a b", "b a c", "b b a", "b b b",
+            "b b c", "b a a a", "b a a b", "b a a c", "b a b a", "b a b b", "b a b c",
+        )
+        assert printed == [
+            f"counterexample: {obs} (stealthiness: reaction to '{obs[-1]}' drives "
+            "the supervisor view out of the supervised language)"
+            for obs in histories
+        ]
 
     def test_horizon_flag(self, capsys):
         assert main(["verify", CFG, "--horizon", "4"]) == 0

@@ -32,6 +32,7 @@ from sdattack.prune import prune_interruptible
 from sdattack.randgen import random_scenario
 from sdattack.synth import AttackFunction, relay_attack_function, synthesize
 
+from chains import chain_attack, chain_scenario
 from literal_reference import (
     closed_loop_language,
     fhat_strings,
@@ -222,6 +223,32 @@ class TestVerdicts:
         )
         assert v.admissible and v.stealthy
         assert not v.weak_hit and not v.strong_hit
+
+
+class TestReplayCost:
+    def test_position_steps_grow_linearly_with_the_chain(self, monkeypatch):
+        # Every reaction of an interruptible chain may stop at any of its
+        # positions; the replay must still compute each position's moves
+        # about once, not once per position it starts from.
+        calls = 0
+        step = Explorer._advance_step
+
+        def counted(self, pos, pending):
+            nonlocal calls
+            calls += 1
+            return step(self, pos, pending)
+
+        monkeypatch.setattr(Explorer, "_advance_step", counted)
+        sc = chain_scenario(committed=False)
+        counts = []
+        for length in (100, 400):
+            calls = 0
+            v = check_problem1(
+                ClosedLoopConfig(sc.plant, sc.rtilde, chain_attack(sc, length), 10, sc.x_crit)
+            )
+            assert v.ok("strong")
+            counts.append(calls)
+        assert counts[1] <= 5 * counts[0]
 
 
 class TestEmbedding:
