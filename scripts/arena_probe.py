@@ -1,0 +1,50 @@
+"""Build and prune the XL arena probe; print its size, times and peak memory.
+
+The probe is the `EXPORT` family of `perfbench/gen.py` with 90 plant
+states, generator seed 6, in unbounded mode: an arena of about 7 * 10^5
+nodes, of which pruning keeps none.  Run it from the root of a checkout:
+
+    PYTHONPATH=src python3 scripts/arena_probe.py
+
+It prints the node count, the wall time of `construct_aida` and of
+`prune`, and the peak resident memory (`ru_maxrss`) of the process.
+"""
+
+from __future__ import annotations
+
+import resource
+import sys
+import tempfile
+import time
+from dataclasses import replace
+from pathlib import Path
+from random import Random
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (standard library only)
+
+from sdattack.build import construct_aida  # noqa: E402
+from sdattack.modelio import read_scenario  # noqa: E402
+from sdattack.prune import prune  # noqa: E402
+
+
+def main() -> int:
+    models = gen.random_models(Random(6), replace(gen.EXPORT, states=90))
+    with tempfile.TemporaryDirectory() as tmp:
+        sc = read_scenario(gen.write_scenario(Path(tmp), "xl", models, "unbounded", "strong"))
+    sc.rtilde
+    t0 = time.perf_counter()
+    aida = construct_aida(sc)
+    t1 = time.perf_counter()
+    pruned = prune(aida, sc)
+    t2 = time.perf_counter()
+    print(f"nodes: {len(aida.s_states) + len(aida.e_states)}")
+    print(f"surviving nodes: {len(pruned.ida.s_states) + len(pruned.ida.e_states)}")
+    print(f"build: {t1 - t0:.1f} s")
+    print(f"prune: {t2 - t1:.1f} s")
+    print(f"peak rss: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

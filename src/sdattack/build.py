@@ -12,11 +12,10 @@ counter so that bounded attackers can be pruned on it.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .alphabet import EditAlphabet, base_event, deleted, inserted, is_inserted
+from .alphabet import EditAlphabet, base_event, is_inserted
 from .automata import Automaton, ModelError, State, parallel, state_token
 from .game import (
     E_SIDE,
@@ -95,74 +94,37 @@ def nominal_critical_reachable(sc: Scenario) -> frozenset[State]:
     return frozenset(x for _, x in loop.states if x in sc.x_crit)
 
 
-def _observable_moves(plant: Automaton) -> list[tuple[str, str, str]]:
-    """(event, deletion, insertion) symbols of the observable events, in declaration order."""
-    return [(d.name, deleted(d.name), inserted(d.name)) for d in plant.events if d.observable]
-
-
 def construct_aida(sc: Scenario) -> IDA:
-    """Breadth-first construction of the full insertion-deletion game."""
-    rt, ea = sc.rtilde, sc.ea
+    """Breadth-first construction of the full insertion-deletion game.
+
+    States are numbered as they are discovered and expanded in that order,
+    so each one's out-edges are appended as its row of the arrays.
+    Detected S-states and goal E-states stay unexpanded.
+    """
     succ = Successors(sc.ctx)
-    y0 = Node(S_SIDE, succ.initial())
-    s_states: list[Node] = [y0]
-    e_states: list[Node] = []
-    h_se: dict[Node, tuple[frozenset[str], Node]] = {}
-    h_es: dict[tuple[Node, str], Node] = {}
-    # one node per information state and side
-    s_of: dict[InformationState, Node] = {y0.info: y0}
-    e_of: dict[InformationState, Node] = {}
-    queue: deque[Node] = deque([y0])
-
-    def add_s(info: InformationState) -> Node:
-        y = s_of.get(info)
-        if y is None:
-            y = s_of[info] = Node(S_SIDE, info)
-            s_states.append(y)
-            if info.sup != DEAD:
-                queue.append(y)
-        return y
-
-    def add_e(info: InformationState) -> Node:
-        z = e_of.get(info)
-        if z is None:
-            z = e_of[info] = Node(E_SIDE, info)
-            e_states.append(z)
-            if not info.plant <= sc.x_crit:
-                queue.append(z)
-        return z
-
-    moves = _observable_moves(sc.plant)
-    while queue:
-        c = queue.popleft()
-        if c.side == S_SIDE:
-            gamma, info = succ.se_successor(c.info)
-            h_se[c] = (gamma, add_e(info))
-            continue
-        decision = rt.gamma(c.info.sup)
-        for e, e_del, e_ins in moves:
-            if e not in decision:
-                continue
-            genuine = succ.genuine(c.info, e)
-            if genuine is not None:
-                h_es[(c, e)] = add_s(genuine)
-            if e in ea.sigma_a:
-                gone = succ.deletion(c.info, e)
-                if gone is not None:
-                    h_es[(c, e_del)] = add_s(gone)
-                faked = succ.insertion(c.info, e)
-                if faked is not None:
-                    h_es[(c, e_ins)] = add_s(faked)
-
-    return IDA(
-        name=f"aida({sc.name})",
-        ctx=sc.ctx,
-        s_states=s_states,
-        e_states=e_states,
-        h_se=h_se,
-        h_es=h_es,
-        initial=y0,
-    )
+    keys = [succ.initial()]  # (side, estimate, supervisor state) of each state
+    ids = {keys[0]: 0}
+    off, lab, dst = [0], [], []
+    ests, x_crit = succ.ests, sc.x_crit
+    i = 0
+    while i < len(keys):
+        side, e, q = keys[i]
+        if side == S_SIDE:
+            edges = [succ.hop(e, q)] if q != DEAD else ()
+        else:
+            edges = zip(*succ.moves(e, q)) if not ests[e] <= x_crit else ()
+        for sym, key in edges:
+            j = ids.get(key)
+            if j is None:
+                j = ids[key] = len(keys)
+                keys.append(key)
+            lab.append(sym)
+            dst.append(j)
+        off.append(len(lab))
+        i += 1
+    side, est, sup = map(list, zip(*keys))
+    return IDA(f"aida({sc.name})", sc.ctx, succ.syms, ests, side, est, sup,
+               [None] * len(side), off, lab, dst, 0, None)
 
 
 def aida_size_bound(sc: Scenario) -> int:
@@ -175,79 +137,72 @@ def aida_size_bound(sc: Scenario) -> int:
 
 
 def aida_maximality_violations(ida: IDA, sc: Scenario) -> list[str]:
-    """Why the structure is not the full game (empty list means it is)."""
-    rt = sc.rtilde
-    succ = Successors(sc.ctx)
-    bad: list[str] = []
-    y0 = Node(S_SIDE, succ.initial())
-    if ida.initial != y0:
-        bad.append(f"initial state is {ida.initial.token()}, expected {y0.token()}")
-        return bad
+    """Why the structure is not the full game (empty list means it is).
 
-    s_set, e_set = set(ida.s_states), set(ida.e_states)
-    if len(s_set) != len(ida.s_states) or len(e_set) != len(ida.e_states):
-        bad.append("duplicate state entries")
+    A kernel of its own, over a copy of the arena's estimate table, derives
+    every state's successors again, and each row of the arrays is compared
+    with them as a whole.  The same pass marks what the initial state
+    reaches, forward in id order; a depth-first search decides only the
+    states it leaves unmarked (none in an arena `construct_aida` or
+    `construct_baida` made).
+    """
+    succ = Successors(sc.ctx, ida.ests)
+    side, est, sup, off, lab, dst = ida.side, ida.est, ida.sup, ida.off, ida.lab, ida.dst
+    n, labels = len(side), ida.syms.labels
+    key = list(zip(side, est, sup))
+    tok = lambda i: ida.node(i).token()  # noqa: E731
+    y0, r = succ.initial(), ida.root
+    if r < 0 or key[r] != y0 or ida.counter[r] is not None:
+        want = Node(S_SIDE, InformationState(succ.ests[y0[1]], y0[2]))
+        return [f"initial state is {ida.initial.token()}, expected {want.token()}"]
+    unique = set(key) if ida.counter.count(None) == n else set(zip(key, ida.counter))
+    bad = ["duplicate state entries"] if len(unique) != n else []
 
-    reach = {ida.initial}
-    stack = [ida.initial]
-    while stack:
-        cur = stack.pop()
-        if cur.side == S_SIDE:
-            hop = ida.h_se.get(cur)
-            targets = [hop[1]] if hop else []
+    goal = [x <= sc.x_crit for x in ida.ests]
+    hop_of, moves_of, target = succ.hop, succ.moves, key.__getitem__
+    s_bad: list[str] = []
+    e_bad: list[str] = []
+    reach = [False] * n
+    reach[r] = True
+    for i in range(n):
+        a, b = off[i], off[i + 1]
+        row = dst[a:b]
+        if reach[i]:
+            for t in row:
+                reach[t] = True
+        if side[i] == S_SIDE:
+            if sup[i] == DEAD:
+                if b > a:
+                    s_bad.append(f"detected state {tok(i)} must be terminal")
+            elif b == a:
+                s_bad.append(f"missing control hop at {tok(i)}")
+            else:
+                hop, want = hop_of(est[i], sup[i])
+                if lab[a] != hop:
+                    s_bad.append(f"wrong decision label at {tok(i)}")
+                if key[row[0]] != want:
+                    s_bad.append(f"wrong control hop target at {tok(i)}")
+        elif goal[est[i]]:
+            if b > a:
+                e_bad.append(f"goal state {tok(i)} must be terminal")
         else:
-            targets = [dst for _, dst in ida.es_adj.get(cur, ())]
-        for t in targets:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    for a in dict.fromkeys(ida.s_states + ida.e_states):
-        if a not in reach:
-            bad.append(f"unreachable state {a.token()}")
-
-    for y in ida.s_states:
-        hop = ida.h_se.get(y)
-        if y.info.sup == DEAD:
-            if hop is not None:
-                bad.append(f"detected state {y.token()} must be terminal")
-            continue
-        if hop is None:
-            bad.append(f"missing control hop at {y.token()}")
-            continue
-        gamma, z = hop
-        want_gamma, want_info = succ.se_successor(y.info)
-        if gamma != want_gamma:
-            bad.append(f"wrong decision label at {y.token()}")
-        if z.side != E_SIDE or z.info != want_info or z not in e_set:
-            bad.append(f"wrong control hop target at {y.token()}")
-
-    moves = _observable_moves(sc.plant)
-    for z in ida.e_states:
-        stored = dict(ida.es_adj.get(z, ()))
-        if z.info.plant <= sc.x_crit:
-            if stored:
-                bad.append(f"goal state {z.token()} must be terminal")
-            continue
-        expected: dict[str, InformationState] = {}
-        decision = rt.gamma(z.info.sup)
-        for syms in moves:
-            if syms[0] not in decision:
+            syms, keys = moves_of(est[i], sup[i])
+            if lab[a:b] == syms and list(map(target, row)) == keys:
                 continue
-            for sym in syms:
-                info = succ.es_successor(z.info, sym)
-                if info is not None:
-                    expected[sym] = info
-        if set(stored) != set(expected):
-            missing = sorted(set(expected) - set(stored))
-            extra = sorted(set(stored) - set(expected))
-            bad.append(
-                f"moves at {z.token()}: missing {missing}, unexpected {extra}"
-            )
-            continue
-        for sym, tgt in stored.items():
-            if tgt.side != S_SIDE or tgt.info != expected[sym] or tgt not in s_set:
-                bad.append(f"wrong target for {sym!r} at {z.token()}")
-    return bad
+            stored, expected = {labels[s] for s in lab[a:b]}, {labels[s] for s in syms}
+            if stored != expected:
+                missing, extra = sorted(expected - stored), sorted(stored - expected)
+                e_bad.append(f"moves at {tok(i)}: missing {missing}, unexpected {extra}")
+                continue
+            targets = dict(zip(syms, keys))
+            e_bad += [f"wrong target for {labels[lab[k]]!r} at {tok(i)}"
+                      for k in range(a, b) if key[dst[k]] != targets[lab[k]]]
+    if not all(reach):  # the forward pass above is exact only when ids follow discovery order
+        reach = ida.reach()
+        for s in (S_SIDE, E_SIDE):
+            bad += [f"unreachable state {tok(i)}"
+                    for i in range(n) if side[i] == s and not reach[i]]
+    return bad + s_bad + e_bad
 
 
 def verify_aida_maximality(ida: IDA, sc: Scenario) -> bool:
@@ -276,47 +231,34 @@ def counter_step(ea: EditAlphabet, n_a: int, n: int, sym: str) -> int | None:
 def construct_baida(sc: Scenario, aida: IDA | None = None) -> IDA:
     """Counter-augmented game: the full game walked with the bound counter.
 
-    (node, counter) pairs are discovered breadth-first; an S-state takes its
-    control hop and an E-state its moves in `es_adj` order.
+    (state, counter) pairs are numbered breadth-first; an S-state takes its
+    control hop and an E-state its moves, in row order.
     """
     if sc.n_a is None or sc.n_a < 1:
         raise ModelError("counter-augmented game needs a positive n_a")
     if aida is None:
         aida = construct_aida(sc)
-    ea, n_a = sc.ea, sc.n_a
-    s_states: list[Node] = []
-    e_states: list[Node] = []
-    h_se: dict[Node, tuple[frozenset[str], Node]] = {}
-    h_es: dict[tuple[Node, str], Node] = {}
-    seen: set[Node] = set()
-    queue: deque[tuple[Node, Node]] = deque()
-
-    def visit(node: Node, n: int) -> Node:
-        x = Node(node.side, node.info, counter=n)
-        if x not in seen:
-            seen.add(x)
-            (s_states if x.side == S_SIDE else e_states).append(x)
-            queue.append((x, node))
-        return x
-
-    x0 = visit(aida.initial, sc.initial_counter)
-    while queue:
-        x, node = queue.popleft()
-        if x.side == S_SIDE:
-            hop = aida.h_se.get(node)
-            if hop is not None:
-                h_se[x] = (hop[0], visit(hop[1], x.counter))
-            continue
-        for sym, dst in aida.es_adj.get(node, ()):
-            n = counter_step(ea, n_a, x.counter, sym)
-            if n is not None:
-                h_es[(x, sym)] = visit(dst, n)
-    return IDA(
-        name=f"baida({sc.name})",
-        ctx=sc.ctx,
-        s_states=s_states,
-        e_states=e_states,
-        h_se=h_se,
-        h_es=h_es,
-        initial=x0,
-    )
+    ea, n_a, labels = sc.ea, sc.n_a, aida.syms.labels
+    keys = [(aida.root, sc.initial_counter)]  # (state of the full game, counter) of each state
+    ids = {keys[0]: 0}
+    off, lab, dst = [0], [], []
+    i = 0
+    while i < len(keys):
+        a, n = keys[i]
+        for k in range(aida.off[a], aida.off[a + 1]):
+            sym = aida.lab[k]
+            m = counter_step(ea, n_a, n, labels[sym]) if aida.side[a] == E_SIDE else n
+            if m is None:
+                continue
+            j = ids.get((aida.dst[k], m))
+            if j is None:
+                j = ids[(aida.dst[k], m)] = len(keys)
+                keys.append((aida.dst[k], m))
+            lab.append(sym)
+            dst.append(j)
+        off.append(len(lab))
+        i += 1
+    base, counter = map(list, zip(*keys))
+    pick = lambda xs: [xs[a] for a in base]  # noqa: E731
+    return IDA(f"baida({sc.name})", sc.ctx, aida.syms, aida.ests, pick(aida.side),
+               pick(aida.est), pick(aida.sup), counter, off, lab, dst, 0, None)

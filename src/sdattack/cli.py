@@ -68,7 +68,7 @@ def _cmd_build_aida(args: argparse.Namespace) -> int:
 def _cmd_prune(args: argparse.Namespace) -> int:
     sc = read_scenario(args.config)
     result = prune(construct_aida(sc), sc)
-    _emit(format_ida(result.ida, result.flagged), args.output)
+    _emit(format_ida(result.ida, result.flags), args.output)
     return 0
 
 
@@ -136,7 +136,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
         text = ida_dot(construct_aida(sc), x_crit=sc.x_crit)
     else:
         result = prune(construct_aida(sc), sc)
-        text = ida_dot(result.ida, result.flagged, sc.x_crit)
+        text = ida_dot(result.ida, result.flags, sc.x_crit)
     _emit(text, args.output)
     return 0
 

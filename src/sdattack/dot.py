@@ -6,11 +6,12 @@ text format uses, so repeated exports of the same object are identical.
 
 from __future__ import annotations
 
-from .alphabet import is_deleted, is_inserted
 from .automata import Automaton, State, state_token
-from .game import IDA, Node, S_SIDE, gamma_label
-from .modelio import _ida_order, _sorted_moves
+from .game import DELETION, HOP, IDA, INSERTION, S_SIDE
 from .supervisor import DEAD
+
+
+_COLORS = {HOP: "gray40", DELETION: "firebrick", INSERTION: "royalblue"}  # by symbol kind
 
 
 def _esc(s: str) -> str:
@@ -44,22 +45,24 @@ def automaton_dot(a: Automaton, x_crit: frozenset[State] = frozenset()) -> str:
 
 def ida_dot(
     ida: IDA,
-    flagged: frozenset[Node] = frozenset(),
+    flags: frozenset[int] = frozenset(),
     x_crit: frozenset[State] = frozenset(),
 ) -> str:
-    order = _ida_order(ida)
-    ids = {node: f"n{i}" for i, node in enumerate(order)}
+    """Graphviz view of the arena; `flags` are ids of `ida`."""
+    order, rows = ida.listing()
+    ids = {i: f"n{k}" for k, i in enumerate(order)}
     lines = [
         "digraph {",
         "  rankdir=LR;",
         '  node [fontname="Helvetica"];',
         '  __init [shape=point, label=""];',
     ]
-    for node in order:
+    for i in order:
+        node = ida.node(i) if i >= 0 else ida.initial
         attrs = [f'label="{_esc(node.token())}"']
         attrs.append("shape=ellipse" if node.side == S_SIDE else "shape=box")
         styles = ["filled"]
-        if node in flagged:
+        if i in flags:
             styles.append("dashed")
         fill = "white"
         if node.info.sup == DEAD:
@@ -70,24 +73,13 @@ def ida_dot(
             fill = "lightgoldenrod1"
         attrs.append(f'style="{",".join(styles)}"')
         attrs.append(f'fillcolor="{fill}"')
-        lines.append(f"  {ids[node]} [{', '.join(attrs)}];")
-    lines.append(f"  __init -> {ids[ida.initial]};")
-    for node in order:
-        if node in ida.h_se:
-            gamma, tgt = ida.h_se[node]
-            label = gamma_label(gamma)
-            lines.append(
-                f'  {ids[node]} -> {ids[tgt]} [label="{_esc(label)}", color="gray40"];'
-            )
-        else:
-            for sym, tgt in _sorted_moves(ida, node):
-                color = "black"
-                if is_deleted(sym):
-                    color = "firebrick"
-                elif is_inserted(sym):
-                    color = "royalblue"
-                lines.append(
-                    f'  {ids[node]} -> {ids[tgt]} [label="{_esc(sym)}", color="{color}"];'
-                )
+        lines.append(f"  {ids[i]} [{', '.join(attrs)}];")
+    lines.append(f"  __init -> {ids[ida.root]};")
+    kinds, labels = ida.syms.kinds, ida.syms.labels
+    for i in order:
+        for e in rows[i]:
+            sym, tgt = ida.lab[e], ids[ida.dst[e]]
+            color = _COLORS.get(kinds[sym], "black")
+            lines.append(f'  {ids[i]} -> {tgt} [label="{_esc(labels[sym])}", color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -5,27 +5,25 @@ decision of its current estimate state); E-states belong to the
 environment/attacker (genuine observations, insertions, deletions).  Both
 sides carry the same payload, a joint information state: the attacker's
 plant-state estimate plus the supervisor completion state.  The full game,
-its prunings and their counter-augmented variants are all values of `IDA`.
+its prunings and their counter-augmented variants are all values of `IDA`,
+which stores them as id-indexed arrays; `Node` objects are made only for
+the callers that ask for one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
+from typing import Callable
 
-from .alphabet import EditAlphabet, base_event, is_deleted, is_inserted
-from .automata import (
-    Automaton,
-    ModelError,
-    State,
-    next_states,
-    state_token,
-    unobservable_reach,
-)
+from .alphabet import EditAlphabet, deleted, inserted
+from .automata import Automaton, ModelError, State, next_states, state_token, unobservable_reach
 from .supervisor import RTilde
 
 S_SIDE = "S"
 E_SIDE = "E"
+GENUINE, DELETION, INSERTION, HOP = range(4)  # symbol kinds
 
 
 def gamma_label(gamma: frozenset[str]) -> str:
@@ -89,34 +87,180 @@ class GameContext:
     ea: EditAlphabet
 
 
-@dataclass
-class IDA:
-    """Bipartite attack structure.
+class Symbols:
+    """Edge labels by id: `kinds[i]` and `events[i]` (base event, or the
+    decision of a hop) say what id `i` is without parsing `labels[i]`.
 
-    `h_se` maps each S-state to its single control hop (decision label plus
-    target E-state); `h_es` maps (E-state, edit symbol) to the next S-state.
-    State lists keep discovery order, which makes every downstream artifact
-    deterministic.
+    Observable events in declaration order get their genuine, deletion and
+    insertion ids, then the decisions of the supervisor completion their
+    `HOP` ids in state order, so two tables of one context agree.  `ids`
+    maps move labels and decisions back to ids.
     """
 
-    name: str
-    ctx: GameContext
-    s_states: list[Node]
-    e_states: list[Node]
-    h_se: dict[Node, tuple[frozenset[str], Node]]
-    h_es: dict[tuple[Node, str], Node]
-    initial: Node
+    def __init__(self, ctx: GameContext) -> None:
+        self.labels: list[str] = []
+        self.kinds: list[int] = []
+        self.events: list = []
+        self.ids: dict = {}
+        for d in ctx.plant.events:
+            if d.observable:
+                self._add(d.name, d.name, GENUINE, d.name)
+                if d.name in ctx.ea.sigma_a:
+                    self._add(deleted(d.name), deleted(d.name), DELETION, d.name)
+                    self._add(inserted(d.name), inserted(d.name), INSERTION, d.name)
+        for q in ctx.rt.automaton.states:
+            self.hop(ctx.rt.gamma(q))
+
+    def _add(self, key, label: str, kind: int, event) -> int:
+        i = self.ids[key] = len(self.labels)
+        self.labels.append(label)
+        self.kinds.append(kind)
+        self.events.append(event)
+        return i
+
+    def hop(self, gamma: frozenset[str]) -> int:
+        i = self.ids.get(gamma)
+        return self._add(gamma, gamma_label(gamma), HOP, gamma) if i is None else i
+
+
+class _View:
+    """A read-only `Node` view of an arena (a tuple, a frozenset or a mapping
+    proxy), made on first use; `len()` makes no `Node`."""
+
+    __slots__ = ("_len", "_make")
+    __hash__ = None
+
+    def __init__(self, size: int, make: Callable) -> None:
+        self._len, self._make = size, make
+
+    def __getattr__(self, name: str):  # `get`, `items`, `index`, ... of the data
+        return getattr(self._make(), name)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return iter(self._make())
+
+    def __contains__(self, x) -> bool:
+        return x in self._make()
+
+    def __getitem__(self, key):
+        return self._make()[key]
+
+    def __eq__(self, other) -> bool:
+        return self._make() == (other._make() if isinstance(other, _View) else other)
+
+
+class IDA:
+    """Bipartite attack structure, stored as id-indexed arrays.
+
+    Node `i` has side `side[i]`, estimate `ests[est[i]]`, supervisor state
+    `sup[i]` and bound counter `counter[i]` (None outside the counter game).
+    Its out-edges are `lab[k]` -> `dst[k]` for `k` in `off[i]:off[i + 1]`,
+    labelled by `syms` ids: an S-state has at most one, its control hop, an
+    E-state its moves.  Ids follow discovery order, which makes every
+    downstream artifact deterministic.  `root` is the id of the initial
+    state, -1 once pruning removed it (`initial` is then the state it was).
+    Arenas derived from one another share `syms` and `ests`.
+
+    `s_states`, `e_states`, `nodes`, `h_se` ({S: (decision, E)}), `h_es`
+    ({(E, symbol): S}) and `es_adj` are read-only `Node` views, made
+    together on first use of any but `len()`.
+    """
+
+    def __init__(
+        self, name, ctx, syms, ests, side, est, sup, counter, off, lab, dst, root, initial
+    ):
+        self.name, self.ctx, self.syms, self.ests = name, ctx, syms, ests
+        self.side, self.est, self.sup, self.counter = side, est, sup, counter
+        self.off, self.lab, self.dst, self.root = off, lab, dst, root
+        self.initial: Node = initial if initial is not None else self.node(root)
+
+    @classmethod
+    def from_rows(cls, name, ctx, syms, ests, states, rows, root, initial=None) -> IDA:
+        """The arena of (side, estimate id, supervisor state, counter) `states`
+        and their `rows` of (symbol id, target id) edges."""
+        off = [0]
+        for row in rows:
+            off.append(off[-1] + len(row))
+        edges = [edge for row in rows for edge in row]
+        side, est, sup, counter = map(list, zip(*states)) if states else ([], [], [], [])
+        return cls(name, ctx, syms, ests, side, est, sup, counter, off,
+                   [s for s, _ in edges], [t for _, t in edges], root, initial)
+
+    def node(self, i: int) -> Node:
+        info = InformationState(self.ests[self.est[i]], self.sup[i])
+        return Node(self.side[i], info, self.counter[i])
+
+    def contract(self, y: int) -> int:
+        """The E-state the control hop of S-state `y` leads to, -1 if none."""
+        off = self.off
+        return self.dst[off[y]] if y >= 0 and off[y] < off[y + 1] else -1
+
+    def reach(self, live: list[bool] | None = None) -> list[bool]:
+        """States the initial state reaches over the edges `live` keeps (all by default)."""
+        off, dst, seen, stack = self.off, self.dst, [False] * len(self.side), [self.root]
+        if self.root < 0:
+            return seen
+        seen[self.root] = True
+        while stack:
+            a = stack.pop()
+            for e in range(off[a], off[a + 1]):
+                if not seen[dst[e]] and (live is None or live[e]):
+                    seen[dst[e]] = True
+                    stack.append(dst[e])
+        return seen
+
+    def listing(self) -> tuple[list[int], list]:
+        """The order the writers list states in, and each state's out-edges by label.
+
+        Breadth-first from the initial state, then the states it does not
+        reach, S-states first, in id order.  A removed initial state is
+        listed first, as -1 (its row, the last, is empty).
+        """
+        label = list(map(self.syms.labels.__getitem__, self.lab)).__getitem__  # of each edge
+        rows = [range(a, b) if b - a < 2 else sorted(range(a, b), key=label)
+                for a, b in zip(self.off, self.off[1:])] + [()]
+        order, seen = [self.root], [False] * len(rows)
+        seen[self.root] = True
+        for i in order if self.root >= 0 else ():
+            for e in rows[i]:
+                if not seen[self.dst[e]]:
+                    seen[self.dst[e]] = True
+                    order.append(self.dst[e])
+        for side in (S_SIDE, E_SIDE):
+            order += [i for i, s in enumerate(self.side) if s == side and not seen[i]]
+        return order, rows
+
+    _VIEWS = ("s_states", "e_states", "nodes", "h_se", "h_es", "es_adj")
+
+    def __getattr__(self, name: str) -> _View:
+        """The `Node` views of `_VIEWS`, each a `_View` of what `_made` makes for it."""
+        if name not in IDA._VIEWS:
+            raise AttributeError(name)
+        n, n_s = len(self.side), self.side.count(S_SIDE)
+        hops = list(map(self.syms.kinds.__getitem__, self.lab)).count(HOP)
+        sizes = (n_s, n - n_s, n, hops, len(self.lab) - hops, n - n_s)
+        for k, (view, size) in enumerate(zip(IDA._VIEWS, sizes)):
+            self.__dict__[view] = _View(size, lambda k=k: self._made[k])
+        return self.__dict__[name]
 
     @cached_property
-    def nodes(self) -> set[Node]:
-        return set(self.s_states) | set(self.e_states)
-
-    @cached_property
-    def es_adj(self) -> dict[Node, tuple[tuple[str, Node], ...]]:
-        adj: dict[Node, list[tuple[str, Node]]] = {z: [] for z in self.e_states}
-        for (src, ev), dst in self.h_es.items():
-            adj.setdefault(src, []).append((ev, dst))
-        return {z: tuple(edges) for z, edges in adj.items()}
+    def _made(self) -> tuple:
+        nodes = [self.node(i) for i in range(len(self.side))]
+        labels, decisions = self.syms.labels, self.syms.events
+        h_se, h_es, es_adj = {}, {}, {}
+        for a, i, j in zip(nodes, self.off, self.off[1:]):
+            edges = [(self.lab[k], nodes[self.dst[k]]) for k in range(i, j)]
+            if a.side == S_SIDE:
+                h_se.update((a, (decisions[sym], y)) for sym, y in edges)
+            else:
+                es_adj[a] = tuple((labels[sym], y) for sym, y in edges)
+                h_es.update(((a, sym), y) for sym, y in es_adj[a])
+        return (tuple(a for a in nodes if a.side == S_SIDE),
+                tuple(a for a in nodes if a.side == E_SIDE), frozenset(nodes),
+                MappingProxyType(h_se), MappingProxyType(h_es), MappingProxyType(es_adj))
 
     def out_labels(self, a: Node) -> frozenset[str]:
         if a.side == S_SIDE:
@@ -124,99 +268,123 @@ class IDA:
             return frozenset() if hop is None else frozenset({gamma_label(hop[0])})
         return frozenset(ev for ev, _ in self.es_adj.get(a, ()))
 
+    @cached_property
+    def steps(self) -> dict[tuple[int, str], int]:
+        """(E-state, edited symbol) -> the E-state after the move and its
+        control hop, -1 where the hop is missing."""
+        labels, off, lab, dst = self.syms.labels, self.off, self.lab, self.dst
+        return {(z, labels[lab[k]]): self.contract(dst[k]) for z, side in enumerate(self.side)
+                if side == E_SIDE for k in range(off[z], off[z + 1])}
+
 
 class Successors:
-    """The successor rules of the game, memoized for one call.
+    """The successor rules of the game over estimate ids, memoized for one call.
 
-    Closures are cached per (estimate, decision) and observation steps per
-    (estimate, event); every estimate they return is interned, so equal
-    estimates are one object (hash-consing).  A kernel lives as long as the
-    construction or check that created it: none is kept on a scenario, a
-    context or a module, so every call costs what a one-shot run costs.
+    Estimates are interned into `ests` (a copy of the given table, so ids
+    agree with its arena): equal estimates are one object and one id.
+    Closures are cached per (estimate, decision), observation steps per
+    (estimate, event).  A kernel lives as long as the construction or check
+    that created it, so every call costs what a one-shot run costs.
     """
 
-    __slots__ = ("plant", "rt", "ea", "_interned", "_closed", "_moved")
+    __slots__ = ("plant", "rt", "ea", "syms", "ests", "_ids", "_closed", "_moved", "_rows")
 
-    def __init__(self, ctx: GameContext) -> None:
-        self.plant, self.rt, self.ea = ctx.plant, ctx.rt, ctx.ea
-        self._interned: dict[frozenset[State], frozenset[State]] = {}
-        self._closed: dict[tuple[frozenset[State], frozenset[str]], frozenset[State]] = {}
-        self._moved: dict[tuple[frozenset[State], str], frozenset[State]] = {}
+    def __init__(self, ctx: GameContext, ests: list[frozenset[State]] = ()) -> None:
+        self.plant, self.rt, self.ea, self.syms = ctx.plant, ctx.rt, ctx.ea, Symbols(ctx)
+        self.ests = list(ests)
+        self._ids = {x: i for i, x in enumerate(self.ests)}
+        self._closed: dict[tuple[int, int], int] = {}
+        self._moved: dict[tuple[int, str], int] = {}
+        self._rows: dict[State, tuple] = {}
 
-    def initial(self) -> InformationState:
-        """Initial information state: the plant's initial state, unclosed."""
-        est = frozenset({self.plant.initial})
-        return InformationState(self._interned.setdefault(est, est), self.rt.initial)
+    def intern(self, est: frozenset[State]) -> int:
+        i = self._ids.get(est)
+        if i is None:
+            i = self._ids[est] = len(self.ests)
+            self.ests.append(est)
+        return i
 
-    def closure(self, est: frozenset[State], gamma: frozenset[str]) -> frozenset[State]:
-        """`unobservable_reach` of the estimate under the decision."""
-        key = (est, gamma)
-        out = self._closed.get(key)
-        if out is None:
-            out = unobservable_reach(self.plant, est, gamma)
-            out = self._closed[key] = self._interned.setdefault(out, out)
-        return out
+    def initial(self) -> tuple[str, int, State]:
+        """Initial S-state (side, estimate, supervisor state): the plant's
+        initial state, unclosed."""
+        return S_SIDE, self.intern(frozenset({self.plant.initial})), self.rt.initial
 
-    def moved(self, est: frozenset[State], ev: str) -> frozenset[State]:
-        """`next_states` of the estimate on an observation (empty if infeasible)."""
+    def _row(self, q: State) -> tuple:
+        """(hop id, decision, moves) at `q`; a move is (event, genuine, deletion
+        and insertion ids, next supervisor state), edit ids -1 if not compromised."""
+        row = self._rows.get(q)
+        if row is None:
+            gamma, ids, moves = self.rt.gamma(q), self.syms.ids, []
+            for d in self.plant.events:
+                ev = d.name
+                if d.observable and ev in gamma:
+                    edit = ev in self.ea.sigma_a
+                    del_id = ids[deleted(ev)] if edit else -1
+                    ins_id = ids[inserted(ev)] if edit else -1
+                    moves.append((ev, ids[ev], del_id, ins_id, self.rt.mu(q, ev)))
+            row = self._rows[q] = (self.syms.hop(gamma), gamma, moves)
+        return row
+
+    def moved(self, est: int, ev: str) -> int:
+        """`next_states` of the estimate on an observation, -1 if infeasible."""
         key = (est, ev)
         out = self._moved.get(key)
         if out is None:
-            out = next_states(self.plant, est, ev)
-            out = self._moved[key] = self._interned.setdefault(out, out)
+            nxt = next_states(self.plant, self.ests[est], ev)
+            out = self._moved[key] = self.intern(nxt) if nxt else -1
         return out
 
-    def se_successor(self, info: InformationState) -> tuple[frozenset[str], InformationState]:
-        """Supervisor move: issue the decision, close the estimate under it."""
-        gamma = self.rt.gamma(info.sup)
-        return gamma, InformationState(self.closure(info.plant, gamma), info.sup)
+    def hop(self, est: int, q: State) -> tuple[int, tuple[str, int, State]]:
+        """Supervisor move: the decision's hop id and the E-state (side,
+        estimate closed under the decision, supervisor state)."""
+        hop, gamma, _ = self._row(q)
+        key = (est, hop)
+        out = self._closed.get(key)
+        if out is None:
+            closed = unobservable_reach(self.plant, self.ests[est], gamma)
+            out = self._closed[key] = self.intern(closed)
+        return hop, (E_SIDE, out, q)
 
-    def genuine(self, info: InformationState, ev: str) -> InformationState | None:
-        """Environment move on the genuine observation `ev`."""
-        if ev not in self.plant.obs_events or ev not in self.rt.gamma(info.sup):
-            return None
-        moved = self.moved(info.plant, ev)
-        if not moved:
-            return None
-        nxt_sup = self.rt.mu(info.sup, ev)
-        if nxt_sup is None:
-            return None
-        # left unclosed: the next control hop closes it under the new decision only
-        return InformationState(moved, nxt_sup)
+    def moves(self, est: int, q: State) -> tuple[list[int], list[tuple[str, int, State]]]:
+        """Environment moves: symbol ids and S-states (side, estimate, supervisor state).
 
-    def deletion(self, info: InformationState, ev: str) -> InformationState | None:
-        """Environment move erasing the compromised observation `ev`."""
-        if ev not in self.ea.sigma_a or ev not in self.rt.gamma(info.sup):
-            return None
-        moved = self.moved(info.plant, ev)
-        if not moved:
-            return None
-        return InformationState(moved, info.sup)
-
-    def insertion(self, info: InformationState, ev: str) -> InformationState | None:
-        """Environment move faking the compromised observation `ev`."""
-        if ev not in self.ea.sigma_a or ev not in self.rt.gamma(info.sup):
-            return None
-        nxt_sup = self.rt.mu(info.sup, ev)
-        if nxt_sup is None:
-            return None
-        return InformationState(info.plant, nxt_sup)
-
-    def es_successor(self, info: InformationState, sym: str) -> InformationState | None:
-        """Environment move on a genuine, inserted or deleted symbol.
-
-        Returns None when the move is not permitted at this information state.
+        Per enabled observable event in declaration order: the genuine
+        observation (plant and supervisor move), its deletion (the plant
+        moves) and its insertion (the supervisor moves), each where legal.
+        Targets stay unclosed: the next control hop closes them.
         """
-        if is_inserted(sym):
-            return self.insertion(info, base_event(sym))
-        if is_deleted(sym):
-            return self.deletion(info, base_event(sym))
-        return self.genuine(info, sym)
+        syms: list[int] = []
+        keys: list[tuple[str, int, State]] = []
+        for ev, genuine, del_id, ins_id, nxt in self._row(q)[2]:
+            moved = self.moved(est, ev)
+            if moved >= 0:
+                if nxt is not None:
+                    syms.append(genuine)
+                    keys.append((S_SIDE, moved, nxt))
+                if del_id >= 0:
+                    syms.append(del_id)
+                    keys.append((S_SIDE, moved, q))
+            if ins_id >= 0 and nxt is not None:
+                syms.append(ins_id)
+                keys.append((S_SIDE, est, nxt))
+        return syms, keys
 
-    def race_events(self, info: InformationState) -> list[str]:
+    def race_events(self, est: int, q: State) -> list[str]:
         """Observations the supervisor enables and the plant can execute."""
-        events = self.rt.gamma(info.sup) & self.plant.obs_events
-        return [ev for ev in events if self.moved(info.plant, ev)]
+        return [move[0] for move in self._row(q)[2] if self.moved(est, move[0]) >= 0]
+
+
+def induced_e_state(ida: IDA, s: tuple[str, ...]) -> Node | None:
+    """E-state reached by an edited string, contracting control hops.
+
+    Undefined (None) as soon as a move or a control hop is missing.
+    """
+    z = ida.contract(ida.root)
+    for sym in s:
+        if z < 0:
+            break
+        z = ida.steps.get((z, sym), -1)
+    return None if z < 0 else ida.node(z)
 
 
 def is_race_free(z: Node, ida: IDA) -> bool:
@@ -229,47 +397,12 @@ def is_race_free(z: Node, ida: IDA) -> bool:
     """
     if z.side != E_SIDE:
         raise ModelError("race-freeness is a property of E-states")
-    heads = ida.ctx.ea.reaction_heads
-    labels = ida.out_labels(z)
-    return all(
-        any(sym in labels for sym in heads(ev))
-        for ev in Successors(ida.ctx).race_events(z.info)
-    )
+    heads, labels, succ = ida.ctx.ea.reaction_heads, ida.out_labels(z), Successors(ida.ctx)
+    events = succ.race_events(succ.intern(z.info.plant), z.info.sup)
+    return all(any(sym in labels for sym in heads(ev)) for ev in events)
 
 
 def is_subsystem(small: IDA, big: IDA) -> bool:
     """Componentwise inclusion with edge preservation."""
-    if not set(small.s_states) <= set(big.s_states):
-        return False
-    if not set(small.e_states) <= set(big.e_states):
-        return False
-    for y, (gamma, z) in small.h_se.items():
-        if big.h_se.get(y) != (gamma, z):
-            return False
-    for key, y in small.h_es.items():
-        if big.h_es.get(key) != y:
-            return False
-    return True
-
-
-def induced_e_state(ida: IDA, s: tuple[str, ...]) -> Node | None:
-    """E-state reached by an edited string, contracting control hops.
-
-    Undefined (None) as soon as a move or a control hop is missing.
-    """
-    hop = ida.h_se.get(ida.initial)
-    z = None if hop is None else hop[1]
-    for sym in s:
-        if z is None:
-            break
-        z = induced_step(ida, z, sym)
-    return z
-
-
-def induced_step(ida: IDA, z: Node, sym: str) -> Node | None:
-    """E-state after one more edited symbol from the E-state `z`, or None."""
-    y = ida.h_es.get((z, sym))
-    if y is None:
-        return None
-    hop = ida.h_se.get(y)
-    return None if hop is None else hop[1]
+    return (set(small.nodes) <= set(big.nodes) and small.h_se.items() <= big.h_se.items()
+            and small.h_es.items() <= big.h_es.items())

@@ -13,13 +13,11 @@ so equal objects serialize to identical bytes.
 
 from __future__ import annotations
 
-from collections import deque
-from operator import itemgetter
 from pathlib import Path
 
 from .automata import Automaton, EventDecl, ModelError, State, state_token, stringify_states
 from .build import MODES, Scenario, make_scenario
-from .game import E_SIDE, IDA, GameContext, InformationState, Node
+from .game import HOP, IDA, GameContext, Symbols
 from .synth import AttackFunction
 
 
@@ -254,83 +252,44 @@ def format_scenario_config(
 # ---------------------------------------------------------------------------
 # arenas
 
-def _sorted_moves(ida: IDA, node: Node) -> list[tuple[str, Node]]:
-    """Out-edges of a node without a control hop, sorted by label."""
-    if node.side != E_SIDE:
-        return []
-    return sorted(ida.es_adj.get(node, ()), key=itemgetter(0))
-
-
-def _ida_order(ida: IDA) -> list[Node]:
-    """Deterministic traversal order: BFS, edge labels sorted within a node."""
-    order: list[Node] = []
-    seen = {ida.initial}
-    queue = deque([ida.initial])
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        if node in ida.h_se:
-            targets = [ida.h_se[node][1]]
-        else:
-            targets = [tgt for _, tgt in _sorted_moves(ida, node)]
-        for tgt in targets:
-            if tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    # unreachable nodes last, in state order (not set order, which follows the hash seed)
-    order += [node for node in dict.fromkeys(ida.s_states + ida.e_states) if node not in seen]
-    return order
-
-
-def _node_line(node_id: str, node: Node, plant: str) -> str:
-    fields = [
-        "node",
-        node_id,
-        node.side,
-        f"plant={plant}",
-        f"sup={state_token(node.info.sup)}",
-    ]
-    if node.counter is not None:
-        fields.append(f"counter={node.counter}")
-    return " ".join(fields)
-
-
-def format_ida(ida: IDA, flagged: frozenset[Node] = frozenset()) -> str:
-    order = _ida_order(ida)
-    ids = {node: f"n{i}" for i, node in enumerate(order)}
-    plants: dict[frozenset[State], str] = {}  # one rendering per distinct estimate
+def format_ida(ida: IDA, flags: frozenset[int] = frozenset()) -> str:
+    """The arena as text, in `IDA.listing` order; `flags` are ids of `ida`."""
+    order, rows = ida.listing()
+    side, est, sup, counter, ests = ida.side, ida.est, ida.sup, ida.counter, ida.ests
+    if ida.root < 0:  # a removed initial state is still written: as id -1, the last
+        a = ida.initial
+        side, sup, counter = side + [a.side], sup + [a.info.sup], counter + [a.counter]
+        est, ests = est + [len(ests)], ests + [a.info.plant]
+    name = [""] * len(side)
+    for k, i in enumerate(order):
+        name[i] = f"n{k}"
+    plant = [",".join(sorted(map(state_token, x))) or "-" for x in ests]
+    tok = {q: state_token(q) for q in set(sup)}
+    text = [f"move {label}" if kind != HOP else "gamma " + (",".join(sorted(ev)) or "-")
+            for kind, label, ev in zip(ida.syms.kinds, ida.syms.labels, ida.syms.events)]
     lines = [f"ida {ida.name}"]
-    for node in order:
-        est = node.info.plant
-        plant = plants.get(est)
-        if plant is None:
-            plant = plants[est] = ",".join(sorted(state_token(x) for x in est)) or "-"
-        lines.append(_node_line(ids[node], node, plant))
-    lines.append(f"initial {ids[ida.initial]}")
-    for node in order:
-        if node in ida.h_se:
-            gamma, tgt = ida.h_se[node]
-            label = ",".join(sorted(gamma)) or "-"
-            lines.append(f"edge {ids[node]} gamma {label} {ids[tgt]}")
-        else:
-            for sym, tgt in _sorted_moves(ida, node):
-                lines.append(f"edge {ids[node]} move {sym} {ids[tgt]}")
-    for node in order:
-        if node in flagged:
-            lines.append(f"flag {ids[node]}")
+    lines += [f"node {name[i]} {side[i]} plant={plant[est[i]]} sup={tok[sup[i]]}"
+              + ("" if counter[i] is None else f" counter={counter[i]}") for i in order]
+    lines.append(f"initial {name[ida.root]}")
+    lines += [f"edge {name[i]} {text[ida.lab[e]]} {name[ida.dst[e]]}"
+              for i in order for e in rows[i]]
+    lines += [f"flag {name[i]}" for i in order if i in flags]
     return "\n".join(lines) + "\n"
 
 
 def parse_ida(
     text: str, ctx: GameContext, source: str = "<string>"
-) -> tuple[IDA, frozenset[Node]]:
+) -> tuple[IDA, frozenset[int]]:
+    """An arena written by `format_ida`, with ids in file order, and its flagged ids."""
     lines = _lex(text, source)
     name: str | None = None
-    nodes: dict[str, Node] = {}
-    initial: Node | None = None
-    h_se: dict[Node, tuple[frozenset[str], Node]] = {}
-    h_es: dict[tuple[Node, str], Node] = {}
-    flagged: set[Node] = set()
+    syms = Symbols(ctx)
+    nodes: dict[str, int] = {}
+    states: list[tuple] = []  # (side, estimate id, supervisor state, counter)
+    ests: dict[frozenset[State], int] = {}
+    initial: int | None = None
+    rows: list[list[tuple[int, int]]] = []
+    flags: set[int] = set()
     for lineno, fields in lines:
         kind = fields[0]
         if kind == "ida":
@@ -358,9 +317,9 @@ def parse_ida(
                 except ValueError:
                     _fail(source, lineno, f"bad counter {attrs['counter']!r}")
             plant = frozenset(_split_list(attrs["plant"]))
-            nodes[node_id] = Node(
-                fields[2], InformationState(plant, attrs["sup"]), counter
-            )
+            nodes[node_id] = len(states)
+            states.append((fields[2], ests.setdefault(plant, len(ests)), attrs["sup"], counter))
+            rows.append([])
         elif kind == "initial":
             if len(fields) != 2 or fields[1] not in nodes:
                 _fail(source, lineno, "expected: initial <known node id>")
@@ -371,40 +330,35 @@ def parse_ida(
             if fields[1] not in nodes or fields[4] not in nodes:
                 _fail(source, lineno, "edge references an unknown node id")
             src, dst = nodes[fields[1]], nodes[fields[4]]
-            if fields[2] == "gamma":
-                if src in h_se:
-                    _fail(source, lineno, f"second gamma edge from {fields[1]}")
-                h_se[src] = (frozenset(_split_list(fields[3])), dst)
-            else:
-                if (src, fields[3]) in h_es:
-                    _fail(source, lineno, f"duplicate move {fields[3]!r} from {fields[1]}")
-                h_es[(src, fields[3])] = dst
+            hop = fields[2] == "gamma"
+            sym = syms.hop(frozenset(_split_list(fields[3]))) if hop else syms.ids.get(fields[3])
+            if sym is None or states[src][0] != ("S" if hop else "E"):
+                _fail(source, lineno, f"no {fields[2]} {fields[3]!r} from {fields[1]}")
+            if hop and rows[src]:
+                _fail(source, lineno, f"second gamma edge from {fields[1]}")
+            if any(s == sym for s, _ in rows[src]):
+                _fail(source, lineno, f"duplicate move {fields[3]!r} from {fields[1]}")
+            rows[src].append((sym, dst))
         elif kind == "flag":
             if len(fields) != 2 or fields[1] not in nodes:
                 _fail(source, lineno, "expected: flag <known node id>")
-            flagged.add(nodes[fields[1]])
+            flags.add(nodes[fields[1]])
         else:
             _fail(source, lineno, f"unknown directive {kind!r}")
     if name is None:
         _fail(source, lines[0][0], "missing ida header")
     if initial is None:
         _fail(source, lines[0][0], "missing initial line")
-    s_states = [n for n in nodes.values() if n.side == "S"]  # in file order
-    e_states = [n for n in nodes.values() if n.side == "E"]
-    try:
-        ida = IDA(name, ctx, s_states, e_states, h_se, h_es, initial)
-    except ModelError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-    return ida, frozenset(flagged)
+    return IDA.from_rows(name, ctx, syms, list(ests), states, rows, initial), frozenset(flags)
 
 
-def read_ida(path: str | Path, ctx: GameContext) -> tuple[IDA, frozenset[Node]]:
+def read_ida(path: str | Path, ctx: GameContext) -> tuple[IDA, frozenset[int]]:
     path = Path(path)
     return parse_ida(path.read_text(encoding="utf-8"), ctx, str(path))
 
 
-def write_ida(ida: IDA, path: str | Path, flagged: frozenset[Node] = frozenset()) -> None:
-    Path(path).write_text(format_ida(ida, flagged), encoding="utf-8")
+def write_ida(ida: IDA, path: str | Path, flags: frozenset[int] = frozenset()) -> None:
+    Path(path).write_text(format_ida(ida, flags), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

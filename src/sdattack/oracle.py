@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .alphabet import EditAlphabet, base_event, is_deleted, is_inserted
 from .automata import Automaton, ModelError, State, next_states, state_token, unobservable_reach
 from .build import DETERMINISTIC, FREE_COUNTER, counter_step
-from .game import IDA, Node, induced_e_state, induced_step
+from .game import IDA, Node
 from .supervisor import DEAD, RTilde
 from .synth import AttackFunction, initial_reactions, make_attack, reactions
 
@@ -139,10 +139,14 @@ class _Pos:
 
     def key(self) -> tuple[str, str, str]:
         if self._key is None:
-            rtok = self.r.token() if isinstance(self.r, Node) else state_token(self.r)
-            qtok = "?" if self.q is None else state_token(self.q)
-            self._key = (self.phase, rtok, qtok)
+            self._key = _pos_key(self.phase, self.r, self.q)
         return self._key
+
+
+def _pos_key(phase: str, r: State, q: State | None) -> tuple[str, str, str]:
+    """Sort key of the position (phase, r, q), made or not."""
+    rtok = r.token() if isinstance(r, Node) else state_token(r)
+    return (phase, rtok, "?" if q is None else state_token(q))
 
 
 class _MacroSteps:
@@ -349,7 +353,7 @@ class Explorer(_MacroSteps):
     def _macro_key(self, nodes, ends, pending):
         return (
             tuple(sorted(nodes, key=self._node_key)),
-            tuple(sorted(ends, key=lambda p: _Pos(_MID, p[0], p[1]).key())),
+            tuple(sorted(ends, key=lambda p: _pos_key(_MID, p[0], p[1]))),
             pending,
         )
 
@@ -506,20 +510,13 @@ def check_embedding(
     encoders; without it a cyclic encoder is refused.
     """
     if cut is None and _has_insertion_cycle(fa):
-        raise OracleBudgetError(
-            "cyclic attack encoder: pass an explicit reaction cut"
-        )
-    cfg = ClosedLoopConfig(
-        plant=ida.ctx.plant,
-        rt=ida.ctx.rt,
-        attack=fa,
-        horizon=horizon,
-    )
-    # Each history extends its parent's edited strings by one reaction.
-    # A string carries its encoder state, its E-state and the length of its
-    # shortest prefix the game cannot follow (None while there is none).
-    z0 = induced_e_state(ida, ())
-    start = (fa.f.initial, z0, None if z0 is not None else 0)
+        raise OracleBudgetError("cyclic attack encoder: pass an explicit reaction cut")
+    cfg = ClosedLoopConfig(ida.ctx.plant, ida.ctx.rt, fa, horizon)
+    # Each history extends its parent's edited strings by one reaction.  A
+    # string carries its encoder state, its E-state (an id, -1 if undefined)
+    # and the length of its shortest prefix the game cannot follow (or None).
+    z0, steps = ida.contract(ida.root), ida.steps
+    start = (fa.f.initial, z0, None if z0 >= 0 else 0)
     carried: dict[Word, dict[Word, tuple]] = {}
     bad: list[tuple[Word, Word]] = []
     for obs in Explorer(cfg).realizable_observations():  # parents first
@@ -532,9 +529,9 @@ def check_embedding(
                 for t2 in reactions(fa, r, obs[-1], cut):
                     t = t3 + t2
                     if t not in strings:
-                        strings[t] = _follow(fa, ida, t, len(t3), walked)
+                        strings[t] = _follow(fa, steps, t, len(t3), walked)
         else:
-            strings = {t: _follow(fa, ida, t, 0, start) for t in initial_reactions(fa, cut)}
+            strings = {t: _follow(fa, steps, t, 0, start) for t in initial_reactions(fa, cut)}
         carried[obs] = strings
         for t in sorted(strings):
             k = strings[t][2]
@@ -543,7 +540,7 @@ def check_embedding(
     return bad
 
 
-def _follow(fa: AttackFunction, ida: IDA, t: Word, start: int, walked: tuple) -> tuple:
+def _follow(fa: AttackFunction, steps: dict, t: Word, start: int, walked: tuple) -> tuple:
     """(encoder state, E-state, first undefined prefix length) of `t`, from
     those of its prefix `t[:start]`, one symbol at a time."""
     r, z, k = walked
@@ -552,8 +549,8 @@ def _follow(fa: AttackFunction, ida: IDA, t: Word, start: int, walked: tuple) ->
         if r is not None:
             r = fa.f.succ(r, sym)
         if k is None:
-            z = induced_step(ida, z, sym)
-            if z is None:
+            z = steps.get((z, sym), -1)
+            if z < 0:
                 k = i + 1
     return r, z, k
 

@@ -30,11 +30,11 @@ exceeds the number of whole-arena rounds to the same fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
-from .alphabet import is_inserted
 from .build import Scenario, construct_baida
-from .game import IDA, Node, Successors, gamma_label
+from .game import E_SIDE, GENUINE, HOP, IDA, INSERTION, S_SIDE, Node, Successors
 from .supervisor import DEAD
 
 
@@ -42,97 +42,47 @@ from .supervisor import DEAD
 class PruneResult:
     """A pruned arena and its flagged states.
 
+    `flags` are ids of `ida`; `flagged` is the same set as `Node`s.
     `rounds` is the number of worklist generations, counted over the arena
     with the dead supervisor dropped and before the final reachability
     trim.
     """
 
     ida: IDA
-    flagged: frozenset[Node]
+    flags: frozenset[int]
     rounds: int
 
-
-class _Arena:
-    """`base` interned to ints.
-
-    Nodes are the S-states then the E-states, in list order; edges are the
-    control hops then the moves, in dict order.
-    """
-
-    def __init__(self, base: IDA) -> None:
-        self.base = base
-        self.nodes = base.s_states + base.e_states
-        index = {a: i for i, a in enumerate(self.nodes)}
-        self.initial = index.get(base.initial)
-        self.src: list[int] = []
-        self.dst: list[int] = []
-        self.label: list[str] = []
-        for y, (gamma, z) in base.h_se.items():
-            self.src.append(index[y])
-            self.dst.append(index[z])
-            self.label.append(gamma_label(gamma))
-        for (z, sym), y in base.h_es.items():
-            self.src.append(index[z])
-            self.dst.append(index[y])
-            self.label.append(sym)
-        self.out: list[list[int]] = [[] for _ in self.nodes]
-        self.pred: list[list[int]] = [[] for _ in self.nodes]
-        for e, (s, d) in enumerate(zip(self.src, self.dst)):
-            self.out[s].append(e)
-            self.pred[d].append(e)
-
-    def reach(self, keep: list[bool], live: list[bool]) -> list[bool]:
-        """Nodes the initial state reaches over live edges (none if it is not kept)."""
-        seen = [False] * len(self.nodes)
-        if self.initial is None or not keep[self.initial]:
-            return seen
-        seen[self.initial] = True
-        stack = [self.initial]
-        while stack:
-            for e in self.out[stack.pop()]:
-                d = self.dst[e]
-                if live[e] and not seen[d]:
-                    seen[d] = True
-                    stack.append(d)
-        return seen
-
-    def part(self, name: str, keep: list[bool], live: list[bool]) -> tuple[IDA, list[bool]]:
-        """The live edges between kept nodes, trimmed to what the initial state reaches.
-
-        Node lists and edge dicts keep the order of `base`.
-        """
-        reach = self.reach(keep, live)
-        base, src = self.base, self.src
-        n_s, n_hops = len(base.s_states), len(base.h_se)
-        ida = IDA(
-            name=name,
-            ctx=base.ctx,
-            s_states=[y for y, r in zip(base.s_states, reach) if r],
-            e_states=[z for z, r in zip(base.e_states, reach[n_s:]) if r],
-            h_se={
-                y: hop
-                for e, (y, hop) in enumerate(base.h_se.items())
-                if live[e] and reach[src[e]]
-            },
-            h_es={
-                key: y
-                for e, (key, y) in enumerate(base.h_es.items(), n_hops)
-                if live[e] and reach[src[e]]
-            },
-            initial=base.initial,
-        )
-        return ida, reach
+    @cached_property
+    def flagged(self) -> frozenset[Node]:
+        return frozenset(map(self.ida.node, self.flags))
 
 
-def _alive_edges(g: _Arena, keep: list[bool]) -> list[bool]:
-    return [keep[s] and keep[d] for s, d in zip(g.src, g.dst)]
+def _words(n: int, byte: int = 0) -> memoryview:
+    """n machine words with every byte `byte` (0xFF makes -1): unlike a list,
+    they hold no int objects, which counts on arenas of 10^6 edges."""
+    return memoryview(bytearray([byte]) * (8 * n)).cast("q")
 
 
-def drop_dead_supervisor(ida: IDA, name: str | None = None) -> IDA:
-    """Drop every state whose supervisor component is the dead sink."""
-    g = _Arena(ida)
-    keep = [a.info.sup != DEAD for a in g.nodes]
-    return g.part(name or ida.name, keep, _alive_edges(g, keep))[0]
+def _part(base: IDA, name: str, keep: list[bool], live: list[bool]) -> tuple[IDA, list[int]]:
+    """The live edges between kept states, trimmed to what the initial state
+    reaches, and each old id's new id (-1 if gone).  Orders stay those of `base`."""
+    reach = base.reach(live) if base.root >= 0 and keep[base.root] else [False] * len(keep)
+    new = [-1] * len(reach)
+    kept = [a for a, r in enumerate(reach) if r]
+    for i, a in enumerate(kept):
+        new[a] = i
+    off, lab, dst = [0], [], []
+    for a in kept:
+        for e in range(base.off[a], base.off[a + 1]):
+            if live[e]:
+                lab.append(base.lab[e])
+                dst.append(new[base.dst[e]])
+        off.append(len(lab))
+    pick = lambda xs: [xs[a] for a in kept]  # noqa: E731
+    root = new[base.root] if base.root >= 0 else -1
+    ida = IDA(name, base.ctx, base.syms, base.ests, pick(base.side), pick(base.est),
+              pick(base.sup), pick(base.counter), off, lab, dst, root, base.initial)
+    return ida, new
 
 
 def prune_interruptible(aida: IDA, sc: Scenario) -> PruneResult:
@@ -146,7 +96,7 @@ def prune_interruptible(aida: IDA, sc: Scenario) -> PruneResult:
         aida,
         sc,
         name=f"isda({sc.name})",
-        at_bound=lambda a: True,
+        at_bound=lambda c: True,
     )
 
 
@@ -154,14 +104,14 @@ def _prune_flagging(
     base: IDA,
     sc: Scenario,
     name: str,
-    at_bound: Callable[[Node], bool],
+    at_bound: Callable[[int | None], bool],
 ) -> PruneResult:
     """Shared fixpoint of the three prunings.
 
     States below the bound are flagged on violation and keep insertions;
-    states at the bound (`at_bound`) are removed on violation.  For the
-    plain unbounded pruning no state is at the bound; for the
-    interruptible pruning every state is.
+    states at the bound (`at_bound` of their counter) are removed on
+    violation.  For the plain unbounded pruning no state is at the bound;
+    for the interruptible pruning every state is.
 
     An E-state whose every move died is removed only when some feasible
     genuine observation can still occur there: if the plant cannot move,
@@ -171,39 +121,47 @@ def _prune_flagging(
     met while its genuine or its deletion move is alive.  An E-state at
     the bound is removed on any unmet requirement.
     """
-    g = _Arena(base)
-    nodes, src, out, pred = g.nodes, g.src, g.out, g.pred
-    n, n_s = len(nodes), len(base.s_states)
-    owned = sc.ea.sigma_a | sc.ea.editable
-    uncontrollable = [lab not in owned for lab in g.label]
-    strippable = [not is_inserted(lab) for lab in g.label]
+    side, off, lab, dst = base.side, base.off, base.lab, base.dst
+    n, m = len(side), len(lab)
+    src = [a for a in range(n) for _ in range(off[a], off[a + 1])]
+    kinds, events, sigma_a = base.syms.kinds, base.syms.events, sc.ea.sigma_a
+    uncontrollable = [k == HOP or (k == GENUINE and ev not in sigma_a)
+                      for k, ev in zip(kinds, events)]  # by symbol
+    pred_off, pred = _words(n + 2), _words(m)  # incoming edges: pred[pred_off[d]:pred_off[d + 1]]
+    for d in dst:
+        pred_off[d + 2] += 1
+    for a in range(2, n + 2):
+        pred_off[a] += pred_off[a - 1]
+    for e, d in enumerate(dst):  # pred_off[d + 1] moves from the start of d's edges to their end
+        pred[pred_off[d + 1]] = e
+        pred_off[d + 1] += 1
 
-    keep = [a.info.sup != DEAD for a in nodes]
-    live = _alive_edges(g, keep)
-    alive = g.reach(keep, live)
-    live = [ok and alive[s] for ok, s in zip(live, src)]
+    keep = [q != DEAD for q in base.sup]
+    live = bytearray(keep[s] and keep[d] for s, d in zip(src, dst))
+    alive = base.reach(live) if base.root >= 0 and keep[base.root] else [False] * n
+    live = bytearray(ok and alive[s] for ok, s in zip(live, src))
 
     live_out = [0] * n
     lost_uc = [0] * n
     for e, s in enumerate(src):
         if live[e]:
             live_out[s] += 1
-        elif alive[s] and uncontrollable[e]:
+        elif alive[s] and uncontrollable[lab[e]]:
             lost_uc[s] += 1
 
-    succ = Successors(base.ctx)
-    heads = base.ctx.ea.reaction_heads
-    requirement = [-1] * len(src)  # edge -> the requirement it can meet
+    succ = Successors(base.ctx, base.ests)
+    heads = {ev: [base.syms.ids[h] for h in sc.ea.reaction_heads(ev)] for ev in sc.ea.sigma_o}
+    requirement = _words(m, 0xFF)  # edge -> the requirement it can meet (-1: none)
     met: list[int] = []  # requirement -> live edges meeting it
     unmet = [0] * n
-    for z in range(n_s, n):
-        if not alive[z]:
+    for z in range(n):
+        if not alive[z] or side[z] != E_SIDE:
             continue
-        by_label = {g.label[e]: e for e in out[z]}
-        for ev in succ.race_events(nodes[z].info):
+        by_label = {lab[e]: e for e in range(off[z], off[z + 1])}
+        for ev in succ.race_events(base.est[z], base.sup[z]):
             r = len(met)
             count = 0
-            for e in map(by_label.get, heads(ev)):
+            for e in map(by_label.get, heads[ev]):
                 if e is not None:
                     requirement[e] = r
                     count += live[e]
@@ -215,7 +173,7 @@ def _prune_flagging(
         live[e] = False
         s = src[e]
         live_out[s] -= 1
-        if uncontrollable[e]:
+        if uncontrollable[lab[e]]:
             lost_uc[s] += 1
         r = requirement[e]
         if r >= 0:
@@ -223,7 +181,7 @@ def _prune_flagging(
             if not met[r]:
                 unmet[s] += 1
 
-    bound = [at_bound(a) for a in nodes]
+    bound = [at_bound(c) for c in base.counter]
     flagged = [False] * n
     work = [a for a in range(n) if alive[a]]
     rounds = 0
@@ -233,34 +191,35 @@ def _prune_flagging(
         new_flags: list[int] = []
         for a in work:
             lost, racing = lost_uc[a] > 0, unmet[a] > 0
+            has_out = off[a + 1] > off[a]
             if (lost or racing) and bound[a]:
                 removed.append(a)
             # every move lost: an S-state, or an E-state the plant can still leave
-            elif not live_out[a] and out[a] and (a < n_s or racing):
+            elif not live_out[a] and has_out and (side[a] == S_SIDE or racing):
                 removed.append(a)
             elif (lost or racing) and not flagged[a]:
                 new_flags.append(a)
         touched: set[int] = set()
         for a in removed:
             alive[a] = False
-            for e in out[a]:
+            for e in range(off[a], off[a + 1]):
                 live[e] = False
         for a in removed:
-            for e in pred[a]:
+            for e in pred[pred_off[a]:pred_off[a + 1]]:
                 if live[e]:
                     kill(e)
                     touched.add(src[e])
         for z in new_flags:  # a flagged state keeps its insertions only
             flagged[z] = True
-            for e in out[z]:
-                if live[e] and strippable[e]:
+            for e in range(off[z], off[z + 1]):
+                if live[e] and kinds[lab[e]] != INSERTION:
                     kill(e)
             touched.add(z)
         work = [a for a in touched if alive[a]]
 
-    ida, reach = g.part(name, alive, live)
-    kept_flags = frozenset(nodes[a] for a in range(n) if flagged[a] and reach[a])
-    return PruneResult(ida, kept_flags, rounds)
+    ida, new = _part(base, name, alive, live)
+    flags = frozenset(new[a] for a in range(n) if flagged[a] and new[a] >= 0)
+    return PruneResult(ida, flags, rounds)
 
 
 def prune_unbounded(aida: IDA, sc: Scenario) -> PruneResult:
@@ -269,7 +228,7 @@ def prune_unbounded(aida: IDA, sc: Scenario) -> PruneResult:
         aida,
         sc,
         name=f"usda({sc.name})",
-        at_bound=lambda a: False,
+        at_bound=lambda c: False,
     )
 
 
@@ -279,7 +238,7 @@ def prune_bounded(baida: IDA, sc: Scenario) -> PruneResult:
         raise ValueError("bounded pruning needs the scenario reaction bound")
     n_a = sc.n_a
     return _prune_flagging(
-        baida, sc, name=f"bsda({sc.name})", at_bound=lambda a: a.counter == n_a
+        baida, sc, name=f"bsda({sc.name})", at_bound=lambda c: c == n_a
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .alphabet import EditAlphabet, base_event, deleted, inserted, is_deleted, is_inserted
 from .automata import Automaton, EventDecl, ModelError, State, state_token
 from .build import DETERMINISTIC, Scenario, construct_aida, counter_step
-from .game import E_SIDE, IDA, Node, gamma_label
+from .game import E_SIDE, IDA, INSERTION, Node
 from .prune import PruneResult, prune
 
 
@@ -157,92 +157,84 @@ def check_initial_burst(fa: AttackFunction, sc: Scenario) -> None:
             raise ModelError(f"initial burst longer than the bound {fa.n_a}")
 
 
-def feasibility(pruned: IDA, x_crit: frozenset[State], strength: str) -> Node | None:
-    """First surviving E-state meeting the goal, in discovery order."""
-    for z in pruned.e_states:
-        if strength == "strong":
-            if z.info.plant and z.info.plant <= x_crit:
-                return z
-        else:
-            if z.info.plant & x_crit:
-                return z
+def feasibility(pruned: IDA, x_crit: frozenset[State], strength: str) -> int | None:
+    """First surviving E-state meeting the goal, in discovery order (its id)."""
+    for i, (side, est) in enumerate(zip(pruned.side, pruned.est)):
+        if side == E_SIDE:
+            plant = pruned.ests[est]
+            if (plant and plant <= x_crit) if strength == "strong" else plant & x_crit:
+                return i
     return None
 
 
-def shortest_path(pruned: IDA, target: Node) -> list[tuple[Node, str, Node]]:
-    """Fewest-edge path from the initial S-state to the target.
+def shortest_path(pruned: IDA, target: int) -> list[tuple[int, str, int]]:
+    """Fewest-edge path from the initial S-state to the target state id, as
+    (state id, label, state id) steps.
 
-    Neighbor order follows event declaration order with genuine moves
-    before deletions before insertions, so ties resolve deterministically.
+    Neighbor order is row order (event declaration order with genuine
+    moves before deletions before insertions), so ties resolve
+    deterministically.
     """
-    if target not in pruned.nodes:
-        raise SynthesisError(f"target {target.token()} not in the pruned game")
-    parent: dict[Node, tuple[Node, str]] = {}
-    seen = {pruned.initial}
-    queue: deque[Node] = deque([pruned.initial])
-    while queue:
+    if not 0 <= target < len(pruned.side) or pruned.root < 0:
+        raise SynthesisError(f"target {target} not in the pruned game")
+    off, lab, dst = pruned.off, pruned.lab, pruned.dst
+    parent: dict[int, tuple[int, int] | None] = {pruned.root: None}  # -> (state, edge)
+    queue: deque[int] = deque([pruned.root])
+    while queue and target not in parent:
         cur = queue.popleft()
-        if cur == target:
-            break
-        if cur.side == E_SIDE:
-            moves = list(pruned.es_adj.get(cur, ()))
-        else:
-            hop = pruned.h_se.get(cur)
-            moves = [] if hop is None else [(gamma_label(hop[0]), hop[1])]
-        for sym, dst in moves:
-            if dst not in seen:
-                seen.add(dst)
-                parent[dst] = (cur, sym)
-                queue.append(dst)
-    if target not in seen:
-        raise SynthesisError(f"target {target.token()} unreachable in the pruned game")
-    edges: list[tuple[Node, str, Node]] = []
-    cur = target
-    while cur != pruned.initial:
-        prev, sym = parent[cur]
-        edges.append((prev, sym, cur))
-        cur = prev
-    edges.reverse()
-    return edges
+        for e in range(off[cur], off[cur + 1]):
+            if dst[e] not in parent:
+                parent[dst[e]] = (cur, e)
+                queue.append(dst[e])
+    if target not in parent:
+        raise SynthesisError(f"target {pruned.node(target).token()} unreachable in the pruned game")
+    edges: list[tuple[int, str, int]] = []
+    while parent[target] is not None:
+        cur, e = parent[target]
+        edges.append((cur, pruned.syms.labels[lab[e]], target))
+        target = cur
+    return edges[::-1]
 
 
-def _contract(pruned: IDA, y: Node) -> Node:
-    hop = pruned.h_se.get(y)
-    if hop is None:
-        raise SynthesisError(f"surviving state {y.token()} lost its control hop")
-    return hop[1]
+def _contract(pruned: IDA, y: int) -> int:
+    z = pruned.contract(y)
+    if z < 0:
+        raise SynthesisError(f"surviving state {pruned.node(y).token()} lost its control hop")
+    return z
 
 
 def _insertion_exit_map(
-    pruned: IDA, flagged: frozenset[Node], base_order: dict[str, int]
-) -> dict[Node, tuple[str, Node] | None]:
+    pruned: IDA, flags: frozenset[int], base_order: dict[str, int]
+) -> dict[int, tuple[str, int] | None]:
     """Shortest committed insertion move out of the flagged region.
 
     Multi-source reverse search from unflagged E-states over insertion
     moves; None marks flagged states with no escape.
     """
-    succ: dict[Node, list[tuple[str, Node]]] = {}
-    rev: dict[Node, list[Node]] = {}
-    for z in pruned.e_states:
-        for sym, y in pruned.es_adj.get(z, ()):
-            if not is_inserted(sym):
+    labels, kinds = pruned.syms.labels, pruned.syms.kinds
+    succ: dict[int, list[tuple[str, int]]] = {}
+    rev: dict[int, list[int]] = {}
+    e_states = [z for z, side in enumerate(pruned.side) if side == E_SIDE]
+    for z in e_states:
+        for e in range(pruned.off[z], pruned.off[z + 1]):
+            if kinds[pruned.lab[e]] != INSERTION:
                 continue
-            tgt = _contract(pruned, y)
-            succ.setdefault(z, []).append((sym, tgt))
+            tgt = _contract(pruned, pruned.dst[e])
+            succ.setdefault(z, []).append((labels[pruned.lab[e]], tgt))
             rev.setdefault(tgt, []).append(z)
-    dist: dict[Node, int] = {z: 0 for z in pruned.e_states if z not in flagged}
-    queue = deque(sorted(dist, key=lambda n: n.token()))
+    dist: dict[int, int] = {z: 0 for z in e_states if z not in flags}
+    queue = deque(dist)
     while queue:
         cur = queue.popleft()
         for prev in rev.get(cur, ()):
             if prev not in dist:
                 dist[prev] = dist[cur] + 1
                 queue.append(prev)
-    out: dict[Node, tuple[str, Node] | None] = {}
-    for z in pruned.e_states:
-        if z not in flagged:
+    out: dict[int, tuple[str, int] | None] = {}
+    for z in e_states:
+        if z not in flags:
             continue
-        best: tuple[tuple[int, int, str], str, Node] | None = None
+        best: tuple[tuple[int, int, str], str, int] | None = None
         for sym, tgt in succ.get(z, ()):
             if tgt not in dist:
                 continue
@@ -255,9 +247,9 @@ def _insertion_exit_map(
 
 def expand_path(
     pruned: IDA,
-    flagged: frozenset[Node],
+    flags: frozenset[int],
     sc: Scenario,
-    path: list[tuple[Node, str, Node]],
+    path: list[tuple[int, str, int]],
     prefer_deletion: bool = False,
 ) -> AttackFunction:
     """Complete a winning path into a total attack strategy.
@@ -267,18 +259,20 @@ def expand_path(
     observations pass through unless the path chose otherwise, deletions
     cover observations whose genuine move did not survive pruning, and
     (deterministic modes) flagged states commit to inserting their way
-    out before the plant can move again.
+    out before the plant can move again.  The encoder's states are the
+    E-states it visits, as `Node`s.
     """
-    if pruned.initial not in pruned.nodes:
+    if pruned.root < 0:
         raise SynthesisError("empty pruned game")
-    z0 = _contract(pruned, pruned.initial)
+    z0 = _contract(pruned, pruned.root)
     base_order = {d.name: i for i, d in enumerate(sc.plant.events)}
+    labels, off = pruned.syms.labels, pruned.off
 
-    trans: dict[tuple[Node, str], Node] = {}
-    auto: dict[Node, str | None] = {}
-    committed: dict[Node, tuple[str, Node]] = {}
+    trans: dict[tuple[int, str], int] = {}
+    auto: dict[int, str | None] = {}
+    committed: dict[int, tuple[str, int]] = {}
     for src, sym, dst in path:
-        if src.side != E_SIDE:
+        if pruned.side[src] != E_SIDE:
             continue
         tgt = _contract(pruned, dst)
         trans[(src, sym)] = tgt
@@ -286,18 +280,16 @@ def expand_path(
             committed.setdefault(src, (sym, tgt))
 
     det = sc.mode in DETERMINISTIC
-    exits: dict[Node, tuple[str, Node] | None] = {}
-    if det:
-        exits = _insertion_exit_map(pruned, flagged, base_order)
+    exits = _insertion_exit_map(pruned, flags, base_order) if det else {}
 
-    states: list[Node] = []
-    queue: deque[Node] = deque([z0])
+    states: list[int] = []
+    queue: deque[int] = deque([z0])
     enqueued = {z0}
     while queue:
         q = queue.popleft()
         states.append(q)
 
-        def visit(node: Node) -> None:
+        def visit(node: int) -> None:
             if node not in enqueued:
                 enqueued.add(node)
                 queue.append(node)
@@ -305,16 +297,17 @@ def expand_path(
         if det:
             if q in committed:
                 auto[q] = committed[q][0]
-            elif q in flagged:
+            elif q in flags:
                 exit_move = exits.get(q)
                 if exit_move is None:
                     raise SynthesisError(
-                        f"flagged state {q.token()} has no insertion escape"
+                        f"flagged state {pruned.node(q).token()} has no insertion escape"
                     )
                 sym, tgt = exit_move
                 trans[(q, sym)] = tgt
                 auto[q] = sym
-        for sym, y in pruned.es_adj.get(q, ()):
+        moves = {labels[pruned.lab[e]]: pruned.dst[e] for e in range(off[q], off[q + 1])}
+        for sym, y in moves.items():
             if (q, sym) in trans:
                 visit(trans[(q, sym)])
                 continue
@@ -322,20 +315,21 @@ def expand_path(
                 continue
             base = base_event(sym)
             if is_deleted(sym):
-                genuine_alive = (q, base) in pruned.h_es
-                wanted = prefer_deletion or not genuine_alive
+                wanted = prefer_deletion or base not in moves
                 if not wanted or (q, base) in trans:
                     continue
             else:
                 if (q, deleted(base)) in trans:
                     continue
-                if prefer_deletion and (q, deleted(base)) in pruned.h_es:
+                if prefer_deletion and deleted(base) in moves:
                     continue
             trans[(q, sym)] = _contract(pruned, y)
             visit(trans[(q, sym)])
 
-    trans = {k: v for k, v in trans.items() if k[0] in enqueued and v in enqueued}
-    return make_attack(sc, f"attack({sc.name})", tuple(states), trans, z0, auto)
+    node = {q: pruned.node(q) for q in states}
+    trans = {(node[q], sym): node[t] for (q, sym), t in trans.items() if q in node and t in node}
+    auto = {node[q]: sym for q, sym in auto.items()}
+    return make_attack(sc, f"attack({sc.name})", tuple(node.values()), trans, node[z0], auto)
 
 
 def make_attack(
@@ -471,12 +465,14 @@ def synthesize(sc: Scenario, prefer_deletion: bool = False) -> SynthesisResult:
     """Full pipeline: build the game, prune for the mode, extract a strategy."""
     aida = construct_aida(sc)
     pruned = prune(aida, sc)
-    target = feasibility(pruned.ida, sc.x_crit, sc.strength)
+    ida = pruned.ida
+    target = feasibility(ida, sc.x_crit, sc.strength)
     if target is None:
         return SynthesisResult(sc, pruned, None, [], None)
-    path = shortest_path(pruned.ida, target)
-    fa = expand_path(pruned.ida, pruned.flagged, sc, path, prefer_deletion)
-    return SynthesisResult(sc, pruned, target, path, fa)
+    path = shortest_path(ida, target)
+    fa = expand_path(ida, pruned.flags, sc, path, prefer_deletion)
+    steps = [(ida.node(a), sym, ida.node(b)) for a, sym, b in path]
+    return SynthesisResult(sc, pruned, ida.node(target), steps, fa)
 
 
 def relay_attack_function(sc: Scenario) -> AttackFunction:

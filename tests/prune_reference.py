@@ -5,7 +5,8 @@ every E-state and copies the whole arena, so it costs O(rounds x (V+E)).
 It states the semantics directly, and the tests compare the worklist
 pruning of `sdattack.prune` with it.  `reference_prune` picks the same
 parameters as `prune_interruptible`, `prune_unbounded` and
-`prune_bounded`.
+`prune_bounded`.  `drop_dead_supervisor`, which only tests use, lives
+here too.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from sdattack.build import Scenario
 from sdattack.game import E_SIDE, IDA, Node, is_race_free
 from sdattack.prune import PruneResult
 from sdattack.supervisor import DEAD
+
+from arena_reference import from_nodes
 
 
 def _labels(ida: IDA) -> dict[Node, frozenset[str]]:
@@ -58,7 +61,7 @@ def _restrict(
                 reach.add(t)
                 stack.append(t)
 
-    return IDA(
+    return from_nodes(
         name=name or base.name,
         ctx=base.ctx,
         s_states=[y for y in base.s_states if y in reach],
@@ -127,8 +130,8 @@ def _prune_flagging(
         new_flags |= {z for z in race_bad if z in keep and not at_bound(z)}
         nxt = _restrict(h, keep, flagged=new_flags, name=name)
         if _same(nxt, h) and new_flags == flags:
-            live = nxt.nodes
-            return PruneResult(nxt, frozenset(a for a in new_flags if a in live), rounds)
+            index = {a: i for i, a in enumerate([*nxt.s_states, *nxt.e_states])}
+            return PruneResult(nxt, frozenset(index[a] for a in new_flags if a in index), rounds)
         h, flags = nxt, new_flags
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
-from sdattack.automata import ModelError
+from sdattack.alphabet import base_event, is_deleted, is_inserted
+from sdattack.automata import ModelError, next_states, unobservable_reach
 from sdattack.build import (
     FREE_COUNTER,
     Scenario,
@@ -17,8 +20,11 @@ from sdattack.build import (
     nominal_critical_reachable,
     verify_aida_maximality,
 )
-from sdattack.game import E_SIDE, IDA, InformationState, Node, S_SIDE
+from sdattack.game import E_SIDE, InformationState, Node, S_SIDE
+from sdattack.randgen import random_scenario
 from sdattack.supervisor import DEAD
+
+from arena_reference import from_nodes
 
 
 def node(side, plant, sup, counter=None) -> Node:
@@ -154,7 +160,14 @@ class TestMaximalityAudit:
             initial=ida.initial,
         )
         kw.update(overrides)
-        return IDA(**kw)
+        return from_nodes(**kw)
+
+    def test_states_out_of_discovery_order_pass(self, demo_scenario, demo_aida):
+        # S-states first, then E-states: a forward pass in id order misses
+        # most of what the initial state reaches, and the search must not
+        again = self._copy(demo_aida)
+        assert again.side != demo_aida.side
+        assert aida_maximality_violations(again, demo_scenario) == []
 
     def test_missing_move_detected(self, demo_scenario, demo_aida):
         h_es = dict(demo_aida.h_es)
@@ -274,3 +287,25 @@ class TestBoundedArena:
                 assert y.counter == z.counter + 1
             else:
                 assert y.counter == 0
+
+
+class TestAgainstPlainRules:
+    """The audit shares the successor kernel with the build, so kernel faults
+    must show here: every edge, against the automaton operations it stands for."""
+
+    def test_random_arenas(self):
+        for seed in range(40):
+            sc = random_scenario(Random(seed), max_states=6)
+            rt, plant = sc.rtilde, sc.plant
+            aida = construct_aida(sc)
+            for y, (gamma, z) in aida.h_se.items():
+                assert gamma == rt.gamma(y.info.sup), seed
+                closed = unobservable_reach(plant, y.info.plant, gamma)
+                assert z.info == InformationState(closed, y.info.sup), seed
+            for (z, sym), y in aida.h_es.items():
+                ev, est, sup = base_event(sym), z.info.plant, z.info.sup
+                if not is_inserted(sym):
+                    est = next_states(plant, est, ev)
+                if not is_deleted(sym):
+                    sup = rt.mu(sup, ev)
+                assert y.info == InformationState(est, sup), (seed, sym)

@@ -101,8 +101,8 @@ class TestBuildArtifacts:
         out = tmp_path / "pruned.ida"
         assert main(["prune", cfg, "-o", str(out)]) == 0
         sc = read_scenario(cfg)
-        ida, flagged = parse_ida(out.read_text(), sc.ctx, str(out))
-        assert {n.token() for n in flagged} == {"E(3,B)"}
+        ida, flags = parse_ida(out.read_text(), sc.ctx, str(out))
+        assert {ida.node(i).token() for i in flags} == {"E(3,B)"}
 
 
 class TestSynthesize:

@@ -13,7 +13,6 @@ from sdattack.build import construct_aida, construct_baida, counter_step
 from sdattack.randgen import random_scenario
 from sdattack.game import (
     E_SIDE,
-    IDA,
     InformationState,
     Node,
     S_SIDE,
@@ -23,6 +22,9 @@ from sdattack.game import (
     is_race_free,
     is_subsystem,
 )
+
+from arena_reference import from_nodes
+from prune_reference import drop_dead_supervisor
 
 
 def info(plant, sup) -> InformationState:
@@ -35,6 +37,17 @@ def enode(plant, sup) -> Node:
 
 def snode(plant, sup) -> Node:
     return Node(S_SIDE, info(plant, sup))
+
+
+def kernel_moves(succ, at: InformationState) -> dict[str, InformationState]:
+    """The kernel's environment moves at an information state, by label."""
+    syms, keys = succ.moves(succ.intern(at.plant), at.sup)
+    return {succ.syms.labels[s]: InformationState(succ.ests[e], q)
+            for s, (_, e, q) in zip(syms, keys)}
+
+
+def es_successor(sc, at: InformationState, sym: str) -> InformationState | None:
+    return kernel_moves(Successors(sc.ctx), at).get(sym)
 
 
 class TestTokens:
@@ -53,37 +66,36 @@ class TestTokens:
 class TestMoves:
     def test_supervisor_hop(self, demo_scenario):
         sc = demo_scenario
-        gamma, nxt = Successors(sc.ctx).se_successor(info(["0"], "A"))
-        assert gamma == {"a"}
-        assert nxt == info(["0"], "A")
+        succ = Successors(sc.ctx)
+        hop, (side, est, sup) = succ.hop(succ.intern(frozenset({"0"})), "A")
+        assert succ.syms.events[hop] == {"a"}
+        assert succ.syms.labels[hop] == "gamma:a"
+        assert (side, succ.ests[est], sup) == (E_SIDE, {"0"}, "A")
 
     def test_genuine_guard(self, demo_scenario):
         sc = demo_scenario
-        es_successor = Successors(sc.ctx).es_successor
-        assert es_successor(info(["0"], "A"), "a") == info(["1"], "B")
+        assert es_successor(sc, info(["0"], "A"), "a") == info(["1"], "B")
         # b is not in the decision at A, c is not feasible at plant state 0.
-        assert es_successor(info(["0"], "A"), "b") is None
-        assert es_successor(info(["1"], "B"), "c") is None
+        assert es_successor(sc, info(["0"], "A"), "b") is None
+        assert es_successor(sc, info(["1"], "B"), "c") is None
 
     def test_insertion_guard(self, demo_scenario):
         sc = demo_scenario
-        es_successor = Successors(sc.ctx).es_successor
         # Insertion moves the supervisor only; the plant set stays put.
-        assert es_successor(info(["1"], "B"), "b.ins") == info(["1"], "C")
-        assert es_successor(info(["0"], "A"), "b.ins") is None
+        assert es_successor(sc, info(["1"], "B"), "b.ins") == info(["1"], "C")
+        assert es_successor(sc, info(["0"], "A"), "b.ins") is None
 
     def test_deletion_guard(self, demo_scenario):
         sc = demo_scenario
-        es_successor = Successors(sc.ctx).es_successor
         # Deletion moves the plant only; the supervisor stays put.
-        assert es_successor(info(["1"], "B"), "b.del") == info(["3"], "B")
-        assert es_successor(info(["3"], "C"), "b.del") is None
+        assert es_successor(sc, info(["1"], "B"), "b.del") == info(["3"], "B")
+        assert es_successor(sc, info(["3"], "C"), "b.del") is None
 
     def test_uncompromised_events_cannot_be_edited(self, demo_scenario):
         sc = demo_scenario
-        es_successor = Successors(sc.ctx).es_successor
-        assert es_successor(info(["1"], "B"), "a.ins") is None
-        assert es_successor(info(["1"], "B"), "a.del") is None
+        assert es_successor(sc, info(["1"], "B"), "a.ins") is None
+        assert es_successor(sc, info(["1"], "B"), "a.del") is None
+        assert "a.ins" not in Successors(sc.ctx).syms.ids
 
 
 def reference_moves(sc, info):
@@ -140,11 +152,7 @@ class TestSuccessorKernel:
             sc = random_scenario(Random(seed), max_states=6)
             succ = Successors(sc.ctx)
             for y in construct_aida(sc).nodes:
-                want = reference_moves(sc, y.info)
-                for e in sc.plant.obs_events:
-                    for sym in (e, deleted(e), inserted(e)):
-                        got = succ.es_successor(y.info, sym)
-                        assert got == want.get(sym), (seed, y.token(), sym)
+                assert kernel_moves(succ, y.info) == reference_moves(sc, y.info), (seed, y.token())
 
     @pytest.mark.parametrize("mode", ["interruptible", "unbounded", "bounded"])
     def test_race_events_match_plain_rules(self, mode):
@@ -157,7 +165,7 @@ class TestSuccessorKernel:
             for z in construct_aida(sc).e_states:
                 events = sc.rtilde.gamma(z.info.sup) & sc.plant.obs_events
                 want = {ev for ev in events if next_states(sc.plant, z.info.plant, ev)}
-                got = succ.race_events(z.info)
+                got = succ.race_events(succ.intern(z.info.plant), z.info.sup)
                 assert len(got) == len(set(got)) and set(got) == want, (seed, z.token())
 
     def test_equal_estimates_are_one_object(self):
@@ -168,8 +176,9 @@ class TestSuccessorKernel:
 
     def test_kernel_is_per_call(self, demo_scenario):
         a, b = Successors(demo_scenario.ctx), Successors(demo_scenario.ctx)
-        info_a, info_b = a.initial(), b.initial()
-        assert info_a == info_b and info_a.plant is not info_b.plant
+        (_, est_a, q_a), (_, est_b, q_b) = a.initial(), b.initial()
+        assert q_a == q_b and a.ests[est_a] == b.ests[est_b]
+        assert a.ests[est_a] is not b.ests[est_b]
 
 
 class TestStoredHash:
@@ -207,8 +216,6 @@ class TestRaceFreedom:
             assert is_race_free(z, demo_aida)
 
     def test_trimming_dead_creates_a_race(self, demo_scenario, demo_aida):
-        from sdattack.prune import drop_dead_supervisor
-
         trimmed = drop_dead_supervisor(demo_aida)
         racy = enode(["3"], "B")
         assert racy in trimmed.e_states
@@ -239,7 +246,7 @@ class TestStructure:
     def test_partial_structure_is_subsystem(self, demo_aida):
         z0 = demo_aida.initial
         e0 = demo_aida.h_se[z0][1]
-        small = IDA(
+        small = from_nodes(
             "sub",
             demo_aida.ctx,
             frozenset({z0}),
@@ -250,3 +257,19 @@ class TestStructure:
         )
         assert is_subsystem(small, demo_aida)
         assert not is_subsystem(demo_aida, small)
+
+    def test_node_views_are_read_only(self, demo_aida):
+        z0 = demo_aida.initial
+        with pytest.raises(AttributeError):
+            demo_aida.s_states.append(z0)
+        with pytest.raises(TypeError):
+            demo_aida.h_se[z0] = demo_aida.h_se[z0]
+        with pytest.raises(AttributeError):
+            demo_aida.h_es.clear()
+
+    def test_view_sizes_make_no_nodes(self, demo_scenario):
+        ida = construct_aida(demo_scenario)
+        views = (ida.s_states, ida.e_states, ida.nodes, ida.h_se, ida.h_es, ida.es_adj)
+        sizes = [len(v) for v in views]
+        assert "_made" not in vars(ida)
+        assert sizes == [len(list(v)) for v in views]

@@ -6,7 +6,7 @@ import pytest
 
 from sdattack.automata import Automaton, EventDecl
 from sdattack.build import Scenario, aida_maximality_violations, construct_aida
-from sdattack.game import E_SIDE, IDA, S_SIDE, InformationState, Node
+from sdattack.game import E_SIDE, S_SIDE, InformationState, Node
 from sdattack.modelio import (
     ParseError,
     format_attack,
@@ -27,6 +27,8 @@ from sdattack.modelio import (
 from sdattack.prune import prune_unbounded
 from sdattack.supervisor import DEAD
 from sdattack.synth import synthesize
+
+from arena_reference import from_nodes
 
 
 def same_automaton(a, b):
@@ -237,10 +239,11 @@ class TestIdaFormat:
 
     def test_round_trip_with_flags_and_counters(self, demo_scenario, demo_aida):
         usda = prune_unbounded(demo_aida, demo_scenario)
-        text = format_ida(usda.ida, usda.flagged)
-        again, flagged = parse_ida(text, demo_scenario.ctx)
-        assert flagged == usda.flagged
-        assert format_ida(again, flagged) == text
+        assert usda.flags
+        text = format_ida(usda.ida, usda.flags)
+        again, flags = parse_ida(text, demo_scenario.ctx)
+        assert {again.node(i) for i in flags} == usda.flagged
+        assert format_ida(again, flags) == text
 
         bounded = Scenario(
             plant=demo_scenario.plant,
@@ -264,11 +267,11 @@ class TestIdaFormat:
         # detected S-states and goal E-states that the initial state does not reach
         extra_s = [Node(S_SIDE, InformationState(frozenset({x}), DEAD)) for x in ("3", "1")]
         extra_e = [Node(E_SIDE, InformationState(frozenset({"2"}), q)) for q in ("C", "B")]
-        arena = IDA(
+        arena = from_nodes(
             name=demo_aida.name,
             ctx=demo_aida.ctx,
-            s_states=demo_aida.s_states + extra_s,
-            e_states=demo_aida.e_states + extra_e,
+            s_states=[*demo_aida.s_states, *extra_s],
+            e_states=[*demo_aida.e_states, *extra_e],
             h_se=demo_aida.h_se,
             h_es=demo_aida.h_es,
             initial=demo_aida.initial,

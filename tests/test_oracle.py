@@ -15,7 +15,6 @@ from sdattack.automata import (
     unobservable_reach,
 )
 from sdattack.build import construct_aida, make_scenario
-from sdattack.game import IDA
 from sdattack.oracle import (
     ClosedLoopConfig,
     EnumBounds,
@@ -33,6 +32,7 @@ from sdattack.randgen import random_scenario
 from sdattack.synth import AttackFunction, relay_attack_function, synthesize
 
 from chains import chain_attack, chain_scenario
+from arena_reference import from_nodes
 from literal_reference import (
     closed_loop_language,
     fhat_strings,
@@ -259,7 +259,7 @@ class TestEmbedding:
     def test_missing_move_breaks_embedding(self, demo_scenario, demo_attack, demo_aida):
         isda = prune_interruptible(demo_aida, demo_scenario).ida
         key = next(k for k in isda.h_es if k[1] == "b.ins")
-        crippled = IDA(
+        crippled = from_nodes(
             name=isda.name,
             ctx=isda.ctx,
             s_states=isda.s_states,

@@ -10,18 +10,18 @@ import pytest
 from sdattack import ClosedLoopConfig, check_problem1, construct_aida, make_scenario, synthesize
 from sdattack.automata import Automaton, EventDecl
 from sdattack.build import Scenario, construct_baida
-from sdattack.game import IDA, is_subsystem
+from sdattack.game import is_subsystem
 from sdattack.prune import (
     prune,
     prune_bounded,
     prune_interruptible,
     prune_unbounded,
-    drop_dead_supervisor,
 )
 from sdattack.randgen import random_scenario
 from sdattack.supervisor import DEAD
 
-from prune_reference import reference_prune
+from prune_reference import drop_dead_supervisor, reference_prune
+from arena_reference import from_nodes
 
 
 def tokens(ida):
@@ -298,7 +298,7 @@ class TestEmptyArena:
         # What pruning leaves of an infeasible arena: the initial state is gone.
         sc = replace(demo_scenario, mode=mode, n_a=1 if mode == "bounded" else None)
         initial = replace(demo_aida.initial, counter=0 if mode == "bounded" else None)
-        empty = IDA("empty", sc.ctx, [], [], {}, {}, initial)
+        empty = from_nodes("empty", sc.ctx, [], [], {}, {}, initial)
         res = PRUNERS[mode](empty, sc)
         assert not res.ida.nodes
         assert not res.ida.h_se and not res.ida.h_es
