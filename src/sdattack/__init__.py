@@ -43,7 +43,6 @@ from .oracle import (
     check_problem1,
     enumerate_attackers,
     reach_estimate,
-    supervisor_decision,
 )
 from .prune import PruneResult, prune, prune_bounded, prune_interruptible, prune_unbounded
 from .supervisor import DEAD, RTilde, SupervisorRealization, build_rtilde, validate_supervisor
@@ -100,7 +99,6 @@ __all__ = [
     "reach_estimate",
     "relay_attack_function",
     "step",
-    "supervisor_decision",
     "synthesize",
     "trim_accessible",
     "validate_supervisor",

@@ -123,6 +123,16 @@ class Automaton:
     def succ(self, x: State, ev: str) -> State | None:
         return self.trans.get((x, ev))
 
+    @cached_property
+    def token_order(self) -> tuple[State, ...]:
+        """The states in token order.  Raises if two states share a token,
+        which the text format could not tell apart either."""
+        pairs = sorted((state_token(x), i) for i, x in enumerate(self.states))
+        for (a, _), (b, _) in zip(pairs, pairs[1:]):
+            if a == b:
+                raise ModelError(f"{self.name}: two states share the token {a!r}")
+        return tuple(self.states[i] for _, i in pairs)
+
 
 def active_events(a: Automaton, states: Iterable[State]) -> frozenset[str]:
     """Events enabled at some member of the state set."""

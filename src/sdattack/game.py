@@ -374,19 +374,6 @@ class Successors:
         return [move[0] for move in self._row(q)[2] if self.moved(est, move[0]) >= 0]
 
 
-def induced_e_state(ida: IDA, s: tuple[str, ...]) -> Node | None:
-    """E-state reached by an edited string, contracting control hops.
-
-    Undefined (None) as soon as a move or a control hop is missing.
-    """
-    z = ida.contract(ida.root)
-    for sym in s:
-        if z < 0:
-            break
-        z = ida.steps.get((z, sym), -1)
-    return None if z < 0 else ida.node(z)
-
-
 def is_race_free(z: Node, ida: IDA) -> bool:
     """No enabled-and-feasible observation may outrun the attacker.
 

@@ -10,7 +10,10 @@ observable.  The supervisor completion is the judge: an edited
 observation keeps the attack stealthy exactly while the completion stays
 out of its dead sink and keeps being defined.  Hit conditions are
 evaluated up to a bounded number of observations; verdicts say so
-explicitly.
+explicitly.  Positions and nodes are packed ints, built from the ranks
+of plant, encoder and completion states in token order, so sorting the
+ints sorts them by the tokens of what they stand for: the order macro
+keys list them in and witnesses are searched in.
 
 The exhaustive enumerator (`enumerate_attackers`) lists every small
 attack strategy as a reaction table and explores the closed loop of each
@@ -23,6 +26,7 @@ that table.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from .alphabet import EditAlphabet, base_event, is_deleted, is_inserted
 from .automata import Automaton, ModelError, State, next_states, state_token, unobservable_reach
 from .build import DETERMINISTIC, FREE_COUNTER, counter_step
-from .game import IDA, Node
+from .game import IDA
 from .supervisor import DEAD, RTilde
 from .synth import AttackFunction, initial_reactions, make_attack, reactions
 
@@ -71,14 +75,6 @@ class Verdict:
         return self.admissible and self.stealthy and hit
 
 
-def supervisor_decision(
-    rt: RTilde, ea: EditAlphabet, edited: Word
-) -> frozenset[str]:
-    """Control decision after an edited string; empty once outside the model."""
-    q = rt.run(rt.initial, ea.supervisor_view(edited))
-    return frozenset() if q is None else rt.gamma(q)
-
-
 def reach_estimate(
     plant: Automaton,
     rt: RTilde,
@@ -90,8 +86,8 @@ def reach_estimate(
 
     Insertions leave the physical state untouched; genuine and deleted
     events move it; between symbols the estimate closes under the
-    unobservable part of the current control decision, the
-    `supervisor_decision` of the prefix, stepped one symbol at a time.
+    unobservable part of the current control decision, which the
+    supervisor view of the prefix reaches one symbol at a time.
     """
     if fa is not None and fa.state_after(edited) is None:
         raise ValueError("edited string is not a history of the attack encoder")
@@ -110,57 +106,53 @@ def reach_estimate(
 # ---------------------------------------------------------------------------
 # macro-state exploration
 
-_PRE, _MID, _ROOT = "pre", "mid", "root"
+_MID, _PRE, _ROOT = 0, 1, 2  # the phases of a position, in the order of their names
 
 
-class _Pos:
-    """A reaction position: the phase, the attack state `r` and the
-    supervisor state `q`, None once the supervisor view left the model.
-    A position is never changed once made.  It keeps its hash, and its
-    sort key from the first time it is asked for."""
+class _Lazy(dict):
+    """A table that `make(key)` fills on the first lookup of each key."""
 
-    __slots__ = ("phase", "r", "q", "_hash", "_key")
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
 
-    def __init__(self, phase: str, r: State, q: State | None) -> None:
-        self.phase, self.r, self.q = phase, r, q
-        self._hash = hash((phase, r, q))
-        self._key: tuple[str, str, str] | None = None
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _Pos)
-            and self.phase == other.phase
-            and self.r == other.r
-            and self.q == other.q
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def key(self) -> tuple[str, str, str]:
-        if self._key is None:
-            self._key = _pos_key(self.phase, self.r, self.q)
-        return self._key
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _pos_key(phase: str, r: State, q: State | None) -> tuple[str, str, str]:
-    """Sort key of the position (phase, r, q), made or not."""
-    rtok = r.token() if isinstance(r, Node) else state_token(r)
-    return (phase, rtok, "?" if q is None else state_token(q))
+def _ranked(aut: Automaton, out: bool = False) -> list:
+    """The states of `aut` in token order, with None (a view outside the
+    model, token "?") among them if `out`.  No two may share a token."""
+    order = list(aut.token_order)
+    if out:
+        toks = [state_token(x) for x in order]
+        i = bisect.bisect_left(toks, "?")
+        if i < len(toks) and toks[i] == "?":
+            raise ModelError(f"{aut.name}: a state has the token '?' of a view outside the model")
+        order.insert(i, None)
+    return order
 
 
 class _MacroSteps:
-    """The steps between macro-states, over abstract reaction positions.
+    """The steps between macro-states, over reaction positions packed in ints.
 
     A macro state holds nodes, pairs (plant state, reaction position), and
     reaction endpoints, pairs (attack state, supervisor state).  A position
-    is an attack state plus the supervisor completion state reached by the
-    edits so far.  Subclasses give the position rules: `_walk` (the
-    positions the attacker's moves reach from some starts under a pending
-    observation, except those in `seen` and past them, added to `seen`;
-    or, ignoring `seen`, whole closures), `_end` (a reaction may stop
-    here) and `_sterile` (nothing may happen here, because the recursion
-    requires an existing reaction choice).
+    is a phase, an attack state and the supervisor completion state reached
+    by the edits so far.  Plant and completion states are ranked by token,
+    with None (the supervisor view left the model) as "?", and a subclass
+    numbers its attack states below `R`.  The position (phase, r, q) is
+    `(phase * R + r) * Q + q`, an endpoint is its MID position `r * Q + q`,
+    and the node (x, position) is `x * P + position`; the subclass sets
+    `RQ = R * Q` and `P = 3 * RQ`.
+
+    Subclasses give the position rules: `_walk` (the positions the
+    attacker's moves reach from some starts under a pending observation,
+    except those in `seen` and past them, added to `seen`; or, ignoring
+    `seen`, whole closures), `_end` (a reaction may stop here) and
+    `_sterile` (nothing may happen here, because the recursion requires
+    an existing reaction choice).
 
     Each step below walks from all its starts at once and, where `_walk`
     keeps `seen`, never past a position it has already walked, so it costs
@@ -171,37 +163,42 @@ class _MacroSteps:
     def __init__(self, plant: Automaton, rt: RTilde) -> None:
         self.plant = plant
         self.rt = rt
-
-    def _mu(self, q: State | None, e: str) -> State | None:
-        if q is None:
-            return None
-        return self.rt.mu(q, e)
-
-    def _gamma(self, q: State | None) -> frozenset[str]:
-        if q is None:
-            return frozenset()
-        return self.rt.gamma(q)
+        self._xs = xs = _ranked(plant)
+        self._qs = qs = _ranked(rt.automaton, out=True)
+        self._x_rank = x_rank = {x: i for i, x in enumerate(xs)}
+        q_rank = {q: i for i, q in enumerate(qs)}
+        self._x0, self._q0, self._Q = x_rank[plant.initial], q_rank[rt.initial], len(qs)
+        self._bad = frozenset(q_rank[q] for q in (None, DEAD) if q in q_rank)
+        # per plant state: event -> target; per completion state: event ->
+        # target, the decision, and its unobservable events in name order
+        self._x_succ = _Lazy(lambda x: {e: x_rank[y] for e, y in plant.out_edges(xs[x])})
+        self._mus = _Lazy(lambda q: {
+            d.name: q_rank[None if qs[q] is None else rt.mu(qs[q], d.name)] for d in plant.events
+        })
+        self._gammas = gammas = _Lazy(lambda q: frozenset() if qs[q] is None else rt.gamma(qs[q]))
+        self._unobs = _Lazy(lambda q: tuple(sorted(gammas[q] & plant.unobs_events)))
 
     def _stops(self, starts, pending: str | None, msg: str):
         """Endpoints reachable from `starts` past the PRE phase, and `msg`
         once if such a position leaves the supervised language."""
         ends: set = set()
         out = False
+        RQ, Q, bad = self._RQ, self._Q, self._bad
         for p in self._walk(starts, pending, set()):
-            if p.phase == _PRE:
+            if p // RQ == _PRE:
                 continue
-            out = out or p.q is None or p.q == DEAD
+            out = out or p % Q in bad
             if self._end(p):
-                ends.add((p.r, p.q))
+                ends.add(p % RQ)
         return frozenset(ends), (msg,) if out else ()
 
-    def _initial_ends(self, root: _Pos):
+    def _initial_ends(self, root: int):
         return self._stops((root,), None, "initial burst leaves the supervised language")
 
-    def _reaction(self, ends: frozenset, e: str):
+    def _reaction(self, ends, e: str):
         """Endpoints after reacting to `e` from `ends`, and the violations."""
         return self._stops(
-            [_Pos(_PRE, r, q) for r, q in ends],
+            [_PRE * self._RQ + end for end in ends],
             e,
             f"reaction to {e!r} drives the supervisor view out of the supervised language",
         )
@@ -210,14 +207,15 @@ class _MacroSteps:
         """Plant target -> first node whose reaction lets `e` fire."""
         fired: dict = {}
         dead: set = set()  # positions that reach no endpoint enabling `e`
+        P, Q, x_succ, gammas = self._P, self._Q, self._x_succ, self._gammas
         for node in nodes:
-            x, pos = node
-            dst = self.plant.succ(x, e)
+            x, pos = divmod(node, P)
+            dst = x_succ[x].get(e)
             if dst is None or dst in fired:
                 continue
             reach = self._walk((pos,), pending, dead)
             for p in reach:
-                if self._end(p) and e in self._gamma(p.q):
+                if self._end(p) and e in gammas[p % Q]:
                     fired[dst] = node
                     dead.difference_update(reach)  # some of them reach it
                     break
@@ -227,22 +225,23 @@ class _MacroSteps:
         """Micro closure: fire enabled unobservable plant events at every
         advance-reachable, non-sterile position.  Returns nodes and local
         parent links for witness reconstruction.  Each (plant state,
-        position) pair is handled once, a node's new positions in key order."""
+        position) pair is handled once, a node's new positions in order."""
         nodes = dict(seeds)
         queue = deque(seeds)
         done: defaultdict = defaultdict(set)  # plant state -> positions handled for it
+        P, Q, x_succ, unobs = self._P, self._Q, self._x_succ, self._unobs
         while queue:
             node = queue.popleft()
-            x, pos = node
+            x, pos = divmod(node, P)
+            succ = x_succ[x]
             for p2 in self._walk((pos,), pending, done[x], True):
                 if self._sterile(p2, pending):
                     continue
-                gamma = self._gamma(p2.q)
-                for u in sorted(gamma & self.plant.unobs_events):
-                    dst = self.plant.succ(x, u)
+                for u in unobs[p2 % Q]:
+                    dst = succ.get(u)
                     if dst is None:
                         continue
-                    nxt = (dst, p2)
+                    nxt = dst * P + p2
                     if nxt not in nodes:
                         nodes[nxt] = ("micro", node, u)
                         queue.append(nxt)
@@ -255,15 +254,32 @@ class Explorer(_MacroSteps):
     A macro state is its key, the triple (sorted nodes, sorted reaction
     endpoints, pending observation); `macros` maps each key to the
     observation history it was first reached by, whose length is its
-    depth.  A node is a pair (plant state, reaction position), and a
-    position is the attack encoder state plus the supervisor completion
-    state reached by the edits so far.
+    depth.  Nodes and positions are packed as `_MacroSteps` says, with the
+    encoder states ranked by token, so the keys list positions by (phase
+    name, encoder state, completion state) and nodes by plant state first.
     """
 
     def __init__(self, cfg: ClosedLoopConfig) -> None:
         super().__init__(cfg.plant, cfg.rt)
         self.cfg = cfg
-        self.fa = cfg.attack
+        self.fa = fa = cfg.attack
+        self._rs = rs = _ranked(fa.f)
+        self._r_rank = r_rank = {r: i for i, r in enumerate(rs)}
+        Q = self._Q
+        RQ = self._RQ = len(rs) * Q
+        self._P = 3 * RQ
+        self._root = (_ROOT * len(rs) + r_rank[fa.f.initial]) * Q + self._q0
+        self._crit = frozenset(self._x_rank[x] for x in cfg.x_crit if x in self._x_rank)
+        det, eps, auto = fa.deterministic, fa.initial_epsilon, fa.auto_insert
+
+        def is_end(pos: int) -> bool:
+            phase, rq = divmod(pos, RQ)
+            if det:
+                return phase != _PRE and auto.get(rs[rq // Q]) is None
+            return phase == _MID or phase == _ROOT and eps
+
+        # looked up once per position and step, so a dict lookup, not a method
+        self._end = _Lazy(is_end).__getitem__
         self._adv: dict = {}  # position, or (PRE position, pending) -> its moves
         self._react_memo: dict = {}
         self.macros: dict[tuple, Word] = {}
@@ -278,66 +294,57 @@ class Explorer(_MacroSteps):
 
     # -- position rules of the attack encoder
 
-    def _end(self, pos: _Pos) -> bool:
-        if pos.phase == _PRE:
-            return False
-        if self.fa.deterministic:
-            return self.fa.auto_insert.get(pos.r) is None
-        if pos.phase == _ROOT:
-            return self.fa.initial_epsilon
-        return True
-
-    def _advance_step(self, pos: _Pos, pending: str | None) -> list[_Pos]:
-        out: list[_Pos] = []
-        f = self.fa.f
-        if pos.phase == _PRE:
+    def _advance_step(self, pos: int, pending: str | None) -> tuple[int, ...]:
+        phase, rq = divmod(pos, self._RQ)
+        r, q = divmod(rq, self._Q)
+        Q, mu, fa, r = self._Q, self._mus[q], self.fa, self._rs[r]
+        if phase == _PRE:
             # the genuine head moves the supervisor view, the deletion does not
-            qs = (self._mu(pos.q, pending), pos.q)
-            for sym, q in zip(self.fa.ea.reaction_heads(pending), qs):
-                dst = f.succ(pos.r, sym)
-                if dst is not None:
-                    out.append(_Pos(_MID, dst, q))
-            return out
-        if self.fa.deterministic:
-            sym = self.fa.auto_insert.get(pos.r)
-            if sym is not None:
-                dst = f.succ(pos.r, sym)
-                if dst is not None:
-                    out.append(_Pos(_MID, dst, self._mu(pos.q, base_event(sym))))
-            return out
-        for sym, dst in f.out_edges(pos.r):
-            if is_inserted(sym):
-                out.append(_Pos(_MID, dst, self._mu(pos.q, base_event(sym))))
-        return out
+            moves = zip(fa.ea.reaction_heads(pending), (mu[pending], q))
+        elif fa.deterministic:
+            sym = fa.auto_insert.get(r)
+            moves = () if sym is None else ((sym, mu[base_event(sym)]),)
+        else:
+            moves = ((sym, mu[base_event(sym)]) for sym, _ in fa.f.out_edges(r) if is_inserted(sym))
+        out = []
+        for sym, q2 in moves:
+            dst = fa.f.succ(r, sym)
+            if dst is not None:
+                out.append(self._r_rank[dst] * Q + q2)
+        return tuple(out)
 
-    def _next(self, pos: _Pos, pending: str | None) -> tuple[_Pos, ...]:
+    def _next(self, pos: int, pending: str | None) -> tuple[int, ...]:
         # only a PRE position's moves depend on the pending observation
-        key = (pos, pending) if pos.phase == _PRE else pos
+        key = (pos, pending) if pos // self._RQ == _PRE else pos
         out = self._adv.get(key)
         if out is None:
-            out = self._adv[key] = tuple(self._advance_step(pos, pending))
+            out = self._adv[key] = self._advance_step(pos, pending)
         return out
 
-    def _walk(self, starts, pending: str | None, seen: set, ordered: bool = False) -> list[_Pos]:
+    def _walk(self, starts, pending: str | None, seen: set, ordered: bool = False) -> list[int]:
         """Positions reachable from `starts` and not through `seen`, over the
-        memoized moves; adds them to `seen`.  `ordered` sorts them by key,
-        the order the witnesses' parent links are made in."""
+        memoized moves; adds them to `seen`.  `ordered` sorts them, the
+        order the witnesses' parent links are made in."""
         found = []
         for p in starts:
             if p not in seen:
                 seen.add(p)
                 found.append(p)
+        adv = self._adv
         for cur in found:  # grows while it is read
-            for nxt in self._next(cur, pending):
+            moves = adv.get(cur)  # None for a PRE position: its key holds `pending`
+            for nxt in self._next(cur, pending) if moves is None else moves:
                 if nxt not in seen:
                     seen.add(nxt)
                     found.append(nxt)
-        return sorted(found, key=_Pos.key) if ordered else found
+        if ordered:
+            found.sort()
+        return found
 
-    def _sterile(self, pos: _Pos, pending: str | None) -> bool:
+    def _sterile(self, pos: int, pending: str | None) -> bool:
         return not self._end(pos) and not self._next(pos, pending)
 
-    def _react(self, ends: frozenset, e: str):
+    def _react(self, ends: tuple[int, ...], e: str):
         key = (ends, e)
         out = self._react_memo.get(key)
         if out is None:
@@ -346,29 +353,18 @@ class Explorer(_MacroSteps):
 
     # -- macro exploration
 
-    def _node_key(self, node) -> tuple:
-        x, pos = node
-        return (state_token(x), pos.key())
-
-    def _macro_key(self, nodes, ends, pending):
-        return (
-            tuple(sorted(nodes, key=self._node_key)),
-            tuple(sorted(ends, key=lambda p: _pos_key(_MID, p[0], p[1]))),
-            pending,
-        )
-
     def run(self) -> None:
         if self._ran:
             return
         self._ran = True
-        root = _Pos(_ROOT, self.fa.f.initial, self.rt.initial)
+        root, P, RQ = self._root, self._P, self._RQ
         ends0, init_viols = self._initial_ends(root)
         for msg in init_viols:
             self.stealth_violations.append(((), msg))
         if not ends0:
             self.adm_violations.append(((), "no initial reaction choice"))
-        nodes = self._close_nodes({(self.plant.initial, root): ("init",)}, None)
-        key = self._macro_key(nodes, ends0, None)
+        nodes = self._close_nodes({self._x0 * P + root: ("init",)}, None)
+        key = (tuple(sorted(nodes)), tuple(sorted(ends0)), None)
         self.initial_key = key
         self.macros[key] = ()
         self._parents[key] = nodes
@@ -387,22 +383,19 @@ class Explorer(_MacroSteps):
                 fired = self._fire(cur_nodes, pending, e)
                 if not fired:
                     continue
-                new_ends, viols = self._react(frozenset(cur_ends), e)
+                new_ends, viols = self._react(cur_ends, e)
                 for msg in viols:
                     self.stealth_violations.append((obs_here + (e,), msg))
                 if not new_ends:
                     self.adm_violations.append(
                         (obs_here + (e,), "no reaction extends the edit history")
                     )
-                seeds: dict = {}
-                for dst in sorted(fired, key=state_token):
-                    parent_node = fired[dst]
-                    for r, q in cur_ends:
-                        seeds.setdefault(
-                            (dst, _Pos(_PRE, r, q)), ("fire", cur, parent_node, e)
-                        )
+                seeds = {
+                    dst * P + _PRE * RQ + end: ("fire", cur, fired[dst], e)
+                    for dst in sorted(fired) for end in cur_ends
+                }
                 nodes = self._close_nodes(seeds, e)
-                nkey = self._macro_key(nodes, new_ends, e)
+                nkey = (tuple(sorted(nodes)), tuple(sorted(new_ends)), e)
                 self.trans[(cur, e)] = nkey
                 if nkey not in self.macros:
                     self.macros[nkey] = obs_here + (e,)
@@ -411,16 +404,15 @@ class Explorer(_MacroSteps):
                     queue.append(nkey)
 
     def _scan_hits(self, key) -> None:
-        nodes = key[0]
-        crit = self.cfg.x_crit
+        nodes, P, crit = key[0], self._P, self._crit
         if not nodes or not crit:
             return
         if self.weak_witness is None:
             for node in nodes:
-                if node[0] in crit:
+                if node // P in crit:
                     self.weak_witness = self._witness(key, node)
                     break
-        if self.strong_witness is None and all(node[0] in crit for node in nodes):
+        if self.strong_witness is None and all(node // P in crit for node in nodes):
             self.strong_witness = self._witness(key, nodes[0])
 
     def _witness(self, key, node) -> Word:
@@ -457,16 +449,6 @@ class Explorer(_MacroSteps):
                 if nxt is not None:
                     stack.append((obs + (d.name,), nxt))
 
-    def class_states(self, obs: Word) -> frozenset[State]:
-        """Plant states of every loop string with this observation history."""
-        self.run()
-        key = self.initial_key
-        for e in obs:
-            key = self.trans.get((key, e))
-            if key is None:
-                return frozenset()
-        return frozenset(node[0] for node in key[0])
-
 
 def check_problem1(cfg: ClosedLoopConfig, strength: str = "strong") -> Verdict:
     """Admissibility, stealthiness and goal reachability, horizon bounded.
@@ -476,14 +458,9 @@ def check_problem1(cfg: ClosedLoopConfig, strength: str = "strong") -> Verdict:
     """
     ex = Explorer(cfg)
     ex.run()
-    notes = [
-        f"conditions checked for observation histories of length <= {cfg.horizon}",
-    ]
-    counterexamples: list[tuple[Word, str]] = []
-    for obs, _ in ex.adm_violations:
-        counterexamples.append((obs, "admissibility"))
-    for obs, msg in ex.stealth_violations:
-        counterexamples.append((obs, f"stealthiness: {msg}"))
+    notes = [f"conditions checked for observation histories of length <= {cfg.horizon}"]
+    counterexamples = [(obs, "admissibility") for obs, _ in ex.adm_violations]
+    counterexamples += [(obs, f"stealthiness: {msg}") for obs, msg in ex.stealth_violations]
     verdict = Verdict(
         admissible=not ex.adm_violations,
         stealthy=not ex.stealth_violations,
@@ -699,8 +676,11 @@ class _TableSearch(_MacroSteps):
     """The closed loop of each reaction table of one enumeration.
 
     Positions and macro-states are the explorer's, with the table in place
-    of an encoder: an attack state is the edited word played so far, and
-    the moves from it are read off the table's word sets.  The reaction
+    of an encoder: an attack state is the edited word played so far,
+    numbered on first sight (`R` bounds the numbers), and the moves from
+    it are read off the table's word sets.  A macro-state holds its nodes
+    and endpoints in frozensets, since nothing here depends on their
+    order.  The reaction
     that produced a word is its segment: the entry keyed by the word
     before its last genuine or deleted symbol, or the initial entry
     (`None`) for a word of insertions only.
@@ -721,6 +701,8 @@ class _TableSearch(_MacroSteps):
     extensions were explored, once the search backtracks past it.
     """
 
+    _R = 1 << 20  # words one enumeration may number
+
     def __init__(self, sc, horizon: int) -> None:
         super().__init__(sc.plant, sc.rtilde)
         self.det = sc.mode in DETERMINISTIC
@@ -729,6 +711,10 @@ class _TableSearch(_MacroSteps):
         self.table: dict = {}
         self._memo: dict = {}
         self._scopes: list[list] = []  # per table on the path: the memo keys it added
+        self._words: list[Word] = []  # the attack states, numbered on first sight
+        self._word_ids: dict[Word, int] = {}
+        self._RQ = self._R * self._Q
+        self._P = 3 * self._RQ
 
     def push(self) -> None:
         self._scopes.append([])
@@ -751,34 +737,45 @@ class _TableSearch(_MacroSteps):
                 return (r[:j], base_event(r[j]))
         return None
 
-    def _closure(self, pos: _Pos, pending: str | None) -> tuple[_Pos, ...]:
+    def _pos(self, phase: int, r: Word, q: int) -> int:
+        w = self._word_ids.get(r)
+        if w is None:
+            w = self._word_ids[r] = len(self._words)
+            if w >= self._R:
+                raise OracleBudgetError("too many edited words for one enumeration")
+            self._words.append(r)
+        return (phase * self._R + w) * self._Q + q
+
+    def _word(self, pos: int) -> Word:
+        return self._words[pos % self._RQ // self._Q]
+
+    def _closure(self, pos: int, pending: str | None) -> tuple[int, ...]:
         key = (pos, pending)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if pos.phase == _PRE:
-            entry, base = (pos.r, pending), pos.r
+        phase, r = pos // self._RQ, self._word(pos)
+        if phase == _PRE:
+            entry, base = (r, pending), r
             if entry not in self.table:
                 return (pos,)  # a hole, which a longer table may fill
         else:
-            entry = None if pos.phase == _ROOT else self._segment(pos.r)
+            entry = None if phase == _ROOT else self._segment(r)
             base = () if entry is None else entry[0]
-        done = pos.r[len(base):]
+        done = r[len(base):]
         out = {pos: None}
         for word in self.table[entry]:
             if len(word) <= len(done) or word[: len(done)] != done:
                 continue
-            q = pos.q
+            q = pos % self._Q
             for i in range(len(done), len(word)):
                 sym = word[i]
                 if not is_deleted(sym):
-                    q = self._mu(q, base_event(sym))
-                out[_Pos(_MID, base + word[: i + 1], q)] = None
+                    q = self._mus[q][base_event(sym)]
+                out[self._pos(_MID, base + word[: i + 1], q)] = None
         return self._remember(key, tuple(out))
 
-    def _walk(
-        self, starts, pending: str | None, seen: set, ordered: bool = False
-    ) -> tuple[_Pos, ...] | list[_Pos]:
+    def _walk(self, starts, pending: str | None, seen: set, ordered: bool = False) -> tuple | list:
         """The starts' whole closures, in no particular order.  A table's
         reactions are a few symbols long, so walking them again costs less
         than keeping `seen`."""
@@ -786,18 +783,20 @@ class _TableSearch(_MacroSteps):
             return self._closure(starts[0], pending)
         return [p for start in starts for p in self._closure(start, pending)]
 
-    def _end(self, pos: _Pos) -> bool:
-        if pos.phase == _PRE:
+    def _end(self, pos: int) -> bool:
+        phase = pos // self._RQ
+        if phase == _PRE:
             return False
-        if pos.phase == _ROOT:
+        if phase == _ROOT:
             return () in self.table[None]
         if not self.det:
             return True
-        entry = self._segment(pos.r)
-        return pos.r[len(entry[0]) if entry else 0:] in self.table[entry]
+        r = self._word(pos)
+        entry = self._segment(r)
+        return r[len(entry[0]) if entry else 0:] in self.table[entry]
 
-    def _sterile(self, pos: _Pos, pending: str | None) -> bool:
-        return pos.phase == _PRE and (pos.r, pending) not in self.table
+    def _sterile(self, pos: int, pending: str | None) -> bool:
+        return pos // self._RQ == _PRE and (self._word(pos), pending) not in self.table
 
     # -- memoized macro transitions
 
@@ -811,11 +810,12 @@ class _TableSearch(_MacroSteps):
         (nodes, ends, pending), reads = macro
         read = reads.get(e)
         if read is None:
+            P, RQ, Q, words = self._P, self._RQ, self._Q, self._words
             if pending is None:
                 keys = [None]
             else:
-                keys = [(pos.r, pending) for _, pos in nodes if pos.phase == _PRE]
-            keys += [(r, e) for r, _ in ends]
+                keys = [(words[n % RQ // Q], pending) for n in nodes if n % P // RQ == _PRE]
+            keys += [(words[end // Q], e) for end in ends]
             read = reads[e] = tuple(dict.fromkeys(keys))
         return read
 
@@ -825,9 +825,9 @@ class _TableSearch(_MacroSteps):
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        root = _Pos(_ROOT, (), self.rt.initial)
+        root = self._pos(_ROOT, (), self._q0)
         ends, viols = self._initial_ends(root)
-        nodes = self._close_nodes({(self.plant.initial, root): None}, None)
+        nodes = self._close_nodes({self._x0 * self._P + root: None}, None)
         return self._remember(key, (self._macro(nodes, ends, None), bool(viols)))
 
     def _step(self, macro, e: str):
@@ -842,9 +842,11 @@ class _TableSearch(_MacroSteps):
         if not fired:
             return self._remember(key, None)
         new_ends, viols = self._reaction(ends, e)
-        seeds = {(dst, _Pos(_PRE, r, q)): None for dst in fired for r, q in ends}
+        P, pre = self._P, _PRE * self._RQ
+        seeds = {dst * P + pre + end: None for dst in fired for end in ends}
         nxt = self._macro(self._close_nodes(seeds, e), new_ends, e)
-        holes = tuple(h for h in dict.fromkeys((r, e) for r, _ in ends) if h not in self.table)
+        found = dict.fromkeys((self._words[end // self._Q], e) for end in ends)
+        holes = tuple(h for h in found if h not in self.table)
         return self._remember(key, (nxt, bool(viols), holes))
 
     def explore(self, stop_on_violation: bool) -> tuple[tuple | None, bool]:
@@ -895,15 +897,11 @@ def enumerate_attackers(
     entry of its first hole.  One `_TableSearch` explores the closed loop
     of every table, breadth first over macro-states, and stops at the
     first stealth violation when only certifying attackers are wanted.
-    A transition from a macro-state on an observation `e` reads only the
-    entries `(r, pending)` of the PRE positions among its nodes, `(r, e)`
-    of its reaction endpoints, and the initial entry `None` from the
-    initial macro-state; it is memoized under their values, a missing
-    entry included.  Memo entries made while a table is explored are
-    dropped when the search backtracks past that table.  So a table
-    re-walks its macro-states but computes only the transitions that no
-    table on its search path computed on the same entries.  An encoder is
-    built only for the attackers yielded.
+    It memoizes each macro transition under the table entries it reads,
+    scoped to the search path, so a table re-walks its macro-states but
+    computes only the transitions that no table on its search path
+    computed on the same entries.  An encoder is built only for the
+    attackers yielded.
     """
     if len(sc.plant.states) > bounds.max_states:
         raise OracleBudgetError("plant too large for exhaustive enumeration")

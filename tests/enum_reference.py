@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from literal_reference import fhat_strings
 from sdattack.automata import State
-from sdattack.game import IDA, induced_e_state
+from sdattack.game import IDA, Node
 from sdattack.oracle import (
     ClosedLoopConfig,
     EnumBounds,
@@ -28,6 +28,19 @@ from sdattack.oracle import (
 from sdattack.synth import AttackFunction
 
 
+def induced_e_state(ida: IDA, s: tuple[str, ...]) -> Node | None:
+    """E-state reached by an edited string, contracting control hops.
+
+    Undefined (None) as soon as a move or a control hop is missing.
+    """
+    z = ida.contract(ida.root)
+    for sym in s:
+        if z < 0:
+            break
+        z = ida.steps.get((z, sym), -1)
+    return None if z < 0 else ida.node(z)
+
+
 class _ObservedExplorer(Explorer):
     """An `Explorer` that reports every (endpoint, event) reaction it computes."""
 
@@ -36,8 +49,8 @@ class _ObservedExplorer(Explorer):
         self.reaction_observer = reaction_observer
 
     def _react(self, ends, e):
-        for r, _ in ends:
-            self.reaction_observer(r, e)
+        for end in ends:  # the endpoint r * Q + q
+            self.reaction_observer(self._rs[end // self._Q], e)
         return super()._react(ends, e)
 
 

@@ -9,7 +9,8 @@ reaction, and a reaction reports its violation once per (endpoint,
 position) pair that reaches it.  It states the semantics directly, and
 `tests/test_explorer_differential.py` compares `sdattack.oracle.Explorer`
 with it.  `reference_counterexamples` assembles the counterexamples of
-`check_problem1` from a run of it.
+`check_problem1` from a run of it.  Its positions are `_Pos` objects,
+hashed and compared in Python and sorted by token keys.
 """
 
 from __future__ import annotations
@@ -18,8 +19,47 @@ from collections import deque
 
 from sdattack.alphabet import base_event, is_inserted
 from sdattack.automata import Automaton, State, state_token
-from sdattack.oracle import _MID, _PRE, _ROOT, ClosedLoopConfig, Word, _Pos
+from sdattack.game import Node
+from sdattack.oracle import ClosedLoopConfig, Word
 from sdattack.supervisor import DEAD, RTilde
+
+_PRE, _MID, _ROOT = "pre", "mid", "root"
+
+
+class _Pos:
+    """A reaction position: the phase, the attack state `r` and the
+    supervisor state `q`, None once the supervisor view left the model.
+    A position is never changed once made.  It keeps its hash, and its
+    sort key from the first time it is asked for."""
+
+    __slots__ = ("phase", "r", "q", "_hash", "_key")
+
+    def __init__(self, phase: str, r: State, q: State | None) -> None:
+        self.phase, self.r, self.q = phase, r, q
+        self._hash = hash((phase, r, q))
+        self._key: tuple[str, str, str] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _Pos)
+            and self.phase == other.phase
+            and self.r == other.r
+            and self.q == other.q
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def key(self) -> tuple[str, str, str]:
+        if self._key is None:
+            self._key = _pos_key(self.phase, self.r, self.q)
+        return self._key
+
+
+def _pos_key(phase: str, r: State, q: State | None) -> tuple[str, str, str]:
+    """Sort key of the position (phase, r, q), made or not."""
+    rtok = r.token() if isinstance(r, Node) else state_token(r)
+    return (phase, rtok, "?" if q is None else state_token(q))
 
 
 class _MacroSteps:

@@ -14,9 +14,19 @@ from __future__ import annotations
 
 import itertools
 
+from sdattack.alphabet import EditAlphabet
 from sdattack.automata import Automaton, State, language, parallel, step
-from sdattack.oracle import ClosedLoopConfig, Word, supervisor_decision
+from sdattack.oracle import ClosedLoopConfig, Word
+from sdattack.supervisor import RTilde
 from sdattack.synth import AttackFunction, initial_reactions, reactions
+
+
+def supervisor_decision(
+    rt: RTilde, ea: EditAlphabet, edited: Word
+) -> frozenset[str]:
+    """Control decision after an edited string; empty once outside the model."""
+    q = rt.run(rt.initial, ea.supervisor_view(edited))
+    return frozenset() if q is None else rt.gamma(q)
 
 
 def fhat_strings(

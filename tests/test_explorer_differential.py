@@ -4,10 +4,13 @@
 Both must reach the same macro-states by the same observation histories,
 with the same transitions and witnesses, and give the same verdict; the
 new `check_problem1` lists the reference's counterexamples once each, in
-the order they first occur."""
+the order they first occur.  The new macro keys hold packed ids, decoded
+here to the reference's (plant state, `_Pos`) nodes and (r, q) endpoints
+before the items are compared in order."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from random import Random
 
@@ -15,8 +18,9 @@ import pytest
 
 import explorer_reference as reference
 from chains import chain_attack, chain_scenario
-from sdattack.automata import Automaton, EventDecl
+from sdattack.automata import Automaton, EventDecl, state_token
 from sdattack.build import make_scenario
+from sdattack.game import Node
 from sdattack.oracle import (
     ClosedLoopConfig,
     EnumBounds,
@@ -40,6 +44,25 @@ MODES = (
 SEEDS = range(100)
 
 
+PHASES = (reference._MID, reference._PRE, reference._ROOT)  # in packing order
+
+
+def decode_position(ex: Explorer, pos: int) -> reference._Pos:
+    phase, rq = divmod(pos, ex._RQ)
+    r, q = divmod(rq, ex._Q)
+    return reference._Pos(PHASES[phase], ex._rs[r], ex._qs[q])
+
+
+def decode_key(ex: Explorer, key: tuple) -> tuple:
+    """A macro key of `ex` in the reference's form."""
+    nodes, ends, pending = key
+    return (
+        tuple((ex._xs[n // ex._P], decode_position(ex, n % ex._P)) for n in nodes),
+        tuple((ex._rs[end // ex._Q], ex._qs[end % ex._Q]) for end in ends),
+        pending,
+    )
+
+
 def compare(sc, fa: AttackFunction, horizon: int = HORIZON) -> tuple:
     """Assert both explorers agree on `fa`; returns (verdict, reference
     counterexamples with repeats)."""
@@ -47,8 +70,10 @@ def compare(sc, fa: AttackFunction, horizon: int = HORIZON) -> tuple:
     new, ref = Explorer(cfg), reference.Explorer(cfg)
     new.run()
     ref.run()
-    assert list(new.macros.items()) == list(ref.macros.items())
-    assert list(new.trans.items()) == list(ref.trans.items())
+    decode = functools.partial(decode_key, new)
+    assert [(decode(k), obs) for k, obs in new.macros.items()] == list(ref.macros.items())
+    trans = [((decode(k), e), decode(nk)) for (k, e), nk in new.trans.items()]
+    assert trans == list(ref.trans.items())
     assert new.weak_witness == ref.weak_witness
     assert new.strong_witness == ref.strong_witness
     verdict = check_problem1(cfg)
@@ -131,6 +156,37 @@ def test_witness_follows_the_key_order():
 
 def test_demo(demo_scenario):
     compare(demo_scenario, synthesize(demo_scenario).attack, horizon=6)
+
+
+def test_packed_ids_sort_as_the_token_keys():
+    """Sorting packed ids sorts what they stand for by the reference's
+    keys: (phase, token(r), token(q) or "?") for a position, and
+    (token(x), position key) for a node.  Every id below `P` (or below
+    `|X| * P`) is checked, made or not; the encoders are synthesized
+    (`Node` states), relays and random ones, whose supervisor views
+    leave the model."""
+    left_model = node_states = 0
+    for seed in SEEDS:
+        base = random_scenario(Random(seed), max_states=5, name=f"rand{seed}")
+        rng = Random(f"encoders/{seed}")
+        encoders = [relay_attack_function(base), random_encoder(base, rng, 3)]
+        for mode, n_a, bounded_burst in MODES[:2]:
+            sc = replace(base, mode=mode, n_a=n_a, bound_initial_insertions=bounded_burst)
+            result = synthesize(sc)
+            if result.feasible:
+                encoders.append(result.attack)
+        for fa in encoders:
+            ex = Explorer(ClosedLoopConfig(base.plant, base.rtilde, fa, HORIZON, base.x_crit))
+            ex.run()
+            keys = [decode_position(ex, p).key() for p in range(ex._P)]
+            assert sorted(range(ex._P), key=keys.__getitem__) == list(range(ex._P))
+            nodes = range(len(ex._xs) * ex._P)
+            node_keys = [(state_token(ex._xs[n // ex._P]), keys[n % ex._P]) for n in nodes]
+            assert sorted(nodes, key=node_keys.__getitem__) == list(nodes)
+            built = [n % ex._P for key in ex.macros for n in key[0]]
+            left_model += sum(decode_position(ex, p).q is None for p in built)
+            node_states += isinstance(ex._rs[0], Node)
+    assert left_model and node_states
 
 
 def test_the_sweep_exercises_what_it_compares():

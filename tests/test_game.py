@@ -18,12 +18,12 @@ from sdattack.game import (
     S_SIDE,
     Successors,
     gamma_label,
-    induced_e_state,
     is_race_free,
     is_subsystem,
 )
 
 from arena_reference import from_nodes
+from enum_reference import induced_e_state
 from prune_reference import drop_dead_supervisor
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -25,10 +27,10 @@ from sdattack.oracle import (
     check_problem1,
     enumerate_attackers,
     reach_estimate,
-    supervisor_decision,
 )
 from sdattack.prune import prune_interruptible
 from sdattack.randgen import random_scenario
+from sdattack.supervisor import RTilde
 from sdattack.synth import AttackFunction, relay_attack_function, synthesize
 
 from chains import chain_attack, chain_scenario
@@ -38,6 +40,7 @@ from literal_reference import (
     fhat_strings,
     in_closed_loop,
     nominal_closed_loop,
+    supervisor_decision,
 )
 
 
@@ -150,10 +153,21 @@ class TestLiteralSemantics:
 
     def test_class_states(self, demo_cfg):
         ex = Explorer(demo_cfg)
-        assert ex.class_states(("a",)) == {"1"}
-        assert ex.class_states(("a", "c")) == {"2"}
-        assert ex.class_states(("a", "b")) == {"3"}
-        assert ex.class_states(("c",)) == frozenset()
+        ex.run()
+
+        def class_states(obs):
+            """Plant states of every loop string with this observation history."""
+            key = ex.initial_key
+            for e in obs:
+                key = ex.trans.get((key, e))
+                if key is None:
+                    return frozenset()
+            return frozenset(ex._xs[node // ex._P] for node in key[0])
+
+        assert class_states(("a",)) == {"1"}
+        assert class_states(("a", "c")) == {"2"}
+        assert class_states(("a", "b")) == {"3"}
+        assert class_states(("c",)) == frozenset()
 
 
 class TestVerdicts:
@@ -249,6 +263,34 @@ class TestReplayCost:
             assert v.ok("strong")
             counts.append(calls)
         assert counts[1] <= 5 * counts[0]
+
+
+class TestTokenTies:
+    """Packed ranks cannot tie, so the explorer refuses distinct states
+    that share a token, naming it; the text format could not tell them
+    apart either."""
+
+    @staticmethod
+    def with_twins(a: Automaton, twins) -> Automaton:
+        return Automaton(a.name, a.states + twins, a.events, a.trans, a.initial)
+
+    @pytest.mark.parametrize("which", ["plant", "encoder", "completion", "out of the model"])
+    def test_shared_token_is_refused(self, which):
+        sc = chain_scenario(committed=False)
+        plant, rt, fa = sc.plant, sc.rtilde, chain_attack(sc, 3)
+        twins, token = ("{z}", frozenset({"z"})), "'{z}'"
+        if which == "plant":
+            plant = self.with_twins(plant, twins)
+        elif which == "encoder":
+            fa = replace(fa, f=self.with_twins(fa.f, twins))
+        elif which == "completion":
+            rt = RTilde(self.with_twins(rt.automaton, twins), rt.origin)
+        else:
+            rt, token = RTilde(self.with_twins(rt.automaton, ("?",)), rt.origin), "'?'"
+        with pytest.raises(ModelError, match=re.escape(token)):
+            Explorer(ClosedLoopConfig(plant, rt, fa, 4, sc.x_crit))
+        with pytest.raises(ModelError, match=re.escape(token)):
+            check_problem1(ClosedLoopConfig(plant, rt, fa, 4, sc.x_crit))
 
 
 class TestEmbedding:
