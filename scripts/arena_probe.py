@@ -7,7 +7,9 @@ nodes, of which pruning keeps none.  Run it from the root of a checkout:
     PYTHONPATH=src python3 scripts/arena_probe.py
 
 It prints the node count, the wall time of `construct_aida` and of
-`prune`, and the peak resident memory (`ru_maxrss`) of the process.
+`prune`, the worklist generations of the pruning (`PruneResult.rounds`),
+the ratio of the two times (pruning should take no longer than the
+build) and the peak resident memory (`ru_maxrss`) of the process.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ def main() -> int:
     print(f"surviving nodes: {len(pruned.ida.s_states) + len(pruned.ida.e_states)}")
     print(f"build: {t1 - t0:.1f} s")
     print(f"prune: {t2 - t1:.1f} s")
+    print(f"rounds: {pruned.rounds}")
+    print(f"prune/build: {(t2 - t1) / (t1 - t0):.2f}")
     print(f"peak rss: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
     return 0
 

@@ -12,7 +12,7 @@ counter so that bounded attackers can be pruned on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .alphabet import EditAlphabet, base_event, is_inserted
@@ -232,33 +232,38 @@ def construct_baida(sc: Scenario, aida: IDA | None = None) -> IDA:
     """Counter-augmented game: the full game walked with the bound counter.
 
     (state, counter) pairs are numbered breadth-first; an S-state takes its
-    control hop and an E-state its moves, in row order.
+    control hop and an E-state its moves in row order, with counters from a
+    table of `counter_step`.  Without an initial state the game is empty.
     """
     if sc.n_a is None or sc.n_a < 1:
         raise ModelError("counter-augmented game needs a positive n_a")
     if aida is None:
         aida = construct_aida(sc)
-    ea, n_a, labels = sc.ea, sc.n_a, aida.syms.labels
-    keys = [(aida.root, sc.initial_counter)]  # (state of the full game, counter) of each state
+    name, width, labels = f"baida({sc.name})", sc.n_a + 2, aida.syms.labels
+    if aida.root < 0:
+        return IDA(name, sc.ctx, aida.syms, aida.ests, [], [], [], [], [0], [], [], -1,
+                   replace(aida.initial, counter=sc.initial_counter))
+    # a (state, counter) pair is the int state * width + counter + 1, a table entry counter + 1
+    step = [[None if m is None else m + 1 for m in (counter_step(sc.ea, sc.n_a, c - 1, sym)
+                                                    for sym in labels)] for c in range(width)]
+    hold = [[c] * len(labels) for c in range(width)]  # a control hop keeps the counter
+    keys = [aida.root * width + sc.initial_counter + 1]
     ids = {keys[0]: 0}
     off, lab, dst = [0], [], []
-    i = 0
-    while i < len(keys):
-        a, n = keys[i]
-        for k in range(aida.off[a], aida.off[a + 1]):
-            sym = aida.lab[k]
-            m = counter_step(ea, n_a, n, labels[sym]) if aida.side[a] == E_SIDE else n
-            if m is None:
-                continue
-            j = ids.get((aida.dst[k], m))
-            if j is None:
-                j = ids[(aida.dst[k], m)] = len(keys)
-                keys.append((aida.dst[k], m))
-            lab.append(sym)
-            dst.append(j)
+    for key in keys:  # grows as states are discovered
+        a, c = divmod(key, width)
+        row, i, j = step[c] if aida.side[a] == E_SIDE else hold[c], aida.off[a], aida.off[a + 1]
+        for sym, d in zip(aida.lab[i:j], aida.dst[i:j]):
+            if row[sym] is not None:
+                d = d * width + row[sym]
+                t = ids.get(d)
+                if t is None:
+                    t = ids[d] = len(keys)
+                    keys.append(d)
+                lab.append(sym)
+                dst.append(t)
         off.append(len(lab))
-        i += 1
-    base, counter = map(list, zip(*keys))
+    base = [key // width for key in keys]
     pick = lambda xs: [xs[a] for a in base]  # noqa: E731
-    return IDA(f"baida({sc.name})", sc.ctx, aida.syms, aida.ests, pick(aida.side),
-               pick(aida.est), pick(aida.sup), counter, off, lab, dst, 0, None)
+    return IDA(name, sc.ctx, aida.syms, aida.ests, pick(aida.side), pick(aida.est),
+               pick(aida.sup), [key % width - 1 for key in keys], off, lab, dst, 0, None)

@@ -17,25 +17,33 @@ Three variants:
     the reaction bound cannot insert and are removed like interruptible.
 
 All three run one backward worklist in O(V+E) (attractor computation:
-Zielonka, TCS 1998; Liu & Smolka, ICALP 1998).  Each node keeps counts of
-its live moves, lost uncontrollable moves and unmet race requirements,
-and only nodes whose counts changed are tested again.  Each generation of
-the worklist is tested against the arena the previous one left, so
-removals and flags equal those of testing the whole arena round after
-round.  `PruneResult.rounds` counts the generations; states cut off from
-the initial state are trimmed only at the end, so on large arenas it
-exceeds the number of whole-arena rounds to the same fixpoint.
+Zielonka, TCS 1998; Liu & Smolka, ICALP 1998).  The set-up builds, per
+edge, its state, a `live` byte and the edges grouped by target (a counting
+sort into machine words); per state, whether the initial state reaches it
+past the dead supervisor state and, for an E-state, its kind: row labels,
+race events (`Successors.race_events`), at the bound, flagged.  A test
+reads the kind and the row of `live` bytes only, so each verdict is
+computed once per kind and row.  Each generation tests the states whose
+rows changed against the arena the previous one left, so removals and
+flags equal those of testing the whole arena round after round.
+`PruneResult.rounds` counts the generations; states cut off from the
+initial state are trimmed only at the end, so on large arenas it exceeds
+the number of whole-arena rounds to the same fixpoint.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, eq, not_, sub
 
 from .build import Scenario, construct_baida
 from .game import E_SIDE, GENUINE, HOP, IDA, INSERTION, S_SIDE, Node, Successors
 from .supervisor import DEAD
+
+KEEP, REMOVE, FLAG = 0, 1, 2  # verdicts of a test
 
 
 @dataclass(frozen=True)
@@ -55,12 +63,6 @@ class PruneResult:
     @cached_property
     def flagged(self) -> frozenset[Node]:
         return frozenset(map(self.ida.node, self.flags))
-
-
-def _words(n: int, byte: int = 0) -> memoryview:
-    """n machine words with every byte `byte` (0xFF makes -1): unlike a list,
-    they hold no int objects, which counts on arenas of 10^6 edges."""
-    return memoryview(bytearray([byte]) * (8 * n)).cast("q")
 
 
 def _part(base: IDA, name: str, keep: list[bool], live: list[bool]) -> tuple[IDA, list[int]]:
@@ -85,6 +87,19 @@ def _part(base: IDA, name: str, keep: list[bool], live: list[bool]) -> tuple[IDA
     return ida, new
 
 
+def _alive(base: IDA) -> bytearray:
+    """The states the initial state reaches without passing the dead supervisor state."""
+    off, dst = base.off, base.dst
+    seen = bytearray(map(eq, base.sup, repeat(DEAD)))  # a dead state is never entered
+    alive, stack = bytearray(len(seen)), [base.root] if base.root >= 0 else []
+    while stack:
+        a = stack.pop()
+        if not seen[a]:
+            seen[a] = alive[a] = 1
+            stack.extend(dst[off[a]:off[a + 1]])
+    return alive
+
+
 def prune_interruptible(aida: IDA, sc: Scenario) -> PruneResult:
     """Winning region for attackers that may stop editing at any point.
 
@@ -92,24 +107,14 @@ def prune_interruptible(aida: IDA, sc: Scenario) -> PruneResult:
     game, or an E-state that could be outrun by a feasible observation,
     is unusable and removed: every state counts as at the bound.
     """
-    return _prune_flagging(
-        aida,
-        sc,
-        name=f"isda({sc.name})",
-        at_bound=lambda c: True,
-    )
+    return _prune_flagging(aida, sc, f"isda({sc.name})", [True] * len(aida.side))
 
 
-def _prune_flagging(
-    base: IDA,
-    sc: Scenario,
-    name: str,
-    at_bound: Callable[[int | None], bool],
-) -> PruneResult:
+def _prune_flagging(base: IDA, sc: Scenario, name: str, bound: list[bool]) -> PruneResult:
     """Shared fixpoint of the three prunings.
 
     States below the bound are flagged on violation and keep insertions;
-    states at the bound (`at_bound` of their counter) are removed on
+    states at the bound (`bound[i]` of state `i`) are removed on
     violation.  For the plain unbounded pruning no state is at the bound;
     for the interruptible pruning every state is.
 
@@ -121,125 +126,114 @@ def _prune_flagging(
     met while its genuine or its deletion move is alive.  An E-state at
     the bound is removed on any unmet requirement.
     """
-    side, off, lab, dst = base.side, base.off, base.lab, base.dst
-    n, m = len(side), len(lab)
-    src = [a for a in range(n) for _ in range(off[a], off[a + 1])]
-    kinds, events, sigma_a = base.syms.kinds, base.syms.events, sc.ea.sigma_a
-    uncontrollable = [k == HOP or (k == GENUINE and ev not in sigma_a)
-                      for k, ev in zip(kinds, events)]  # by symbol
-    pred_off, pred = _words(n + 2), _words(m)  # incoming edges: pred[pred_off[d]:pred_off[d + 1]]
+    side, est, sup, off, lab, dst = base.side, base.est, base.sup, base.off, base.lab, base.dst
+    n, kinds, ids = len(side), base.syms.kinds, base.syms.ids
+    uncontrollable = [k == HOP or (k == GENUINE and ev not in sc.ea.sigma_a)
+                      for k, ev in zip(kinds, base.syms.events)]  # by symbol
+    heads = {ev: [ids[h] for h in sc.ea.reaction_heads(ev)] for ev in sc.ea.sigma_o}
+    kind_ids: dict[tuple, int] = {}  # E-state kind (labels, race events, at bound, flagged) -> id
+    kinds_of: list[tuple] = []  # id -> the kind, its uncontrollable moves and each requirement's
+    # heads as bit masks (bit 8i: move i), and a byte per move (1: an insertion)
+    verdicts: list[dict[bytes, int]] = []  # id -> row of live bytes -> verdict
+    starts: list[int] = []  # id -> verdict with every move alive
+
+    def verdict(k: int, row: bytes) -> int:
+        labels, _, at_bound, flagged, uc, reqs = kinds_of[k][:6]
+        r = int.from_bytes(row, "little")
+        lost, racing = r & uc != uc, not all(map(r.__and__, reqs))
+        if (lost or racing) and at_bound or labels and not r and racing:
+            return REMOVE  # at the bound, or every move lost while the plant can leave
+        return FLAG if (lost or racing) and not flagged else KEEP
+
+    def kind_id(kind: tuple) -> int:
+        k = kind_ids.get(kind)
+        if k is None:
+            k = kind_ids[kind] = len(kinds_of)
+            bits = [(1 << 8 * i, sym) for i, sym in enumerate(kind[0])]
+            kinds_of.append((*kind, sum(b for b, sym in bits if uncontrollable[sym]),
+                             [sum(b for b, sym in bits if sym in heads[ev]) for ev in kind[1]],
+                             bytes(kinds[sym] == INSERTION for sym in kind[0])))
+            full = bytes([1]) * len(bits)
+            verdicts.append({full: verdict(k, full)})
+            starts.append(verdicts[k][full])
+        return k
+
+    deg = list(map(sub, off[1:], off))
+    src = list(chain.from_iterable(map(repeat, range(n), deg)))  # edge -> its state
+    count = [0] * n
     for d in dst:
-        pred_off[d + 2] += 1
-    for a in range(2, n + 2):
-        pred_off[a] += pred_off[a - 1]
-    for e, d in enumerate(dst):  # pred_off[d + 1] moves from the start of d's edges to their end
-        pred[pred_off[d + 1]] = e
-        pred_off[d + 1] += 1
+        count[d] += 1
+    pred_off = [0, *accumulate(count)]  # moves from the start of the edges into d to their end
+    pred = memoryview(bytearray(8 * len(lab))).cast("q")
+    for e, d in enumerate(dst):
+        pred[pred_off[d]] = e
+        pred_off[d] += 1
+    # the edges into d, in id order, at pred[pred_off[d]:pred_off[d + 1]], in machine words: unlike
+    # a list they hold no int objects, which counts on arenas of 10^6 edges
+    pred_off = memoryview(array("q", [0, *pred_off[:n]]))
+    alive = _alive(base)
+    removed = list(compress(range(n), map(not_, alive)))  # generation 0
+    live = bytearray([1]) * len(lab)
+    race = Successors(base.ctx, base.ests).race_events
+    kind, start = [-1] * n, []  # start: the E-states that fail with every move alive
+    for z in compress(range(n), map(and_, alive, map(eq, side, repeat(E_SIDE)))):
+        kind[z] = k = kind_id((tuple(lab[off[z]:off[z + 1]]), tuple(race(est[z], sup[z])),
+                               bound[z], False))
+        if starts[k]:
+            start.append(z)
 
-    keep = [q != DEAD for q in base.sup]
-    live = bytearray(keep[s] and keep[d] for s, d in zip(src, dst))
-    alive = base.reach(live) if base.root >= 0 and keep[base.root] else [False] * n
-    live = bytearray(ok and alive[s] for ok, s in zip(live, src))
-
-    live_out = [0] * n
-    lost_uc = [0] * n
-    for e, s in enumerate(src):
-        if live[e]:
-            live_out[s] += 1
-        elif alive[s] and uncontrollable[lab[e]]:
-            lost_uc[s] += 1
-
-    succ = Successors(base.ctx, base.ests)
-    heads = {ev: [base.syms.ids[h] for h in sc.ea.reaction_heads(ev)] for ev in sc.ea.sigma_o}
-    requirement = _words(m, 0xFF)  # edge -> the requirement it can meet (-1: none)
-    met: list[int] = []  # requirement -> live edges meeting it
-    unmet = [0] * n
-    for z in range(n):
-        if not alive[z] or side[z] != E_SIDE:
-            continue
-        by_label = {lab[e]: e for e in range(off[z], off[z + 1])}
-        for ev in succ.race_events(base.est[z], base.sup[z]):
-            r = len(met)
-            count = 0
-            for e in map(by_label.get, heads[ev]):
-                if e is not None:
-                    requirement[e] = r
-                    count += live[e]
-            met.append(count)
-            if not count:
-                unmet[z] += 1
-
-    def kill(e: int) -> None:
-        live[e] = False
-        s = src[e]
-        live_out[s] -= 1
-        if uncontrollable[lab[e]]:
-            lost_uc[s] += 1
-        r = requirement[e]
-        if r >= 0:
-            met[r] -= 1
-            if not met[r]:
-                unmet[s] += 1
-
-    bound = [at_bound(c) for c in base.counter]
-    flagged = [False] * n
-    work = [a for a in range(n) if alive[a]]
-    rounds = 0
-    while work:
-        rounds += 1
-        removed: list[int] = []
-        new_flags: list[int] = []
-        for a in work:
-            lost, racing = lost_uc[a] > 0, unmet[a] > 0
-            has_out = off[a + 1] > off[a]
-            if (lost or racing) and bound[a]:
-                removed.append(a)
-            # every move lost: an S-state, or an E-state the plant can still leave
-            elif not live_out[a] and has_out and (side[a] == S_SIDE or racing):
-                removed.append(a)
-            elif (lost or racing) and not flagged[a]:
-                new_flags.append(a)
+    new_flags, rounds = [], 0
+    while True:
         touched: set[int] = set()
         for a in removed:
-            alive[a] = False
-            for e in range(off[a], off[a + 1]):
-                live[e] = False
-        for a in removed:
-            for e in pred[pred_off[a]:pred_off[a + 1]]:
-                if live[e]:
-                    kill(e)
-                    touched.add(src[e])
-        for z in new_flags:  # a flagged state keeps its insertions only
-            flagged[z] = True
-            for e in range(off[z], off[z + 1]):
-                if live[e] and kinds[lab[e]] != INSERTION:
-                    kill(e)
+            alive[a] = 0
+            live[off[a]:off[a + 1]] = bytes(deg[a])
+        for e in chain.from_iterable([pred[pred_off[a]:pred_off[a + 1]] for a in removed]):
+            if live[e]:
+                live[e] = 0
+                touched.add(src[e])
+        # flagging: a flagged state gives up every move but its insertions (a condition that its
+        # insertions must meet, such as an escape from the flagged states, goes here)
+        for z in new_flags:
+            k = kind[z]
+            kind[z] = kind_id((*kinds_of[k][:3], True))
+            live[off[z]:off[z + 1]] = bytes(map(and_, live[off[z]:off[z + 1]], kinds_of[k][6]))
             touched.add(z)
-        work = [a for a in touched if alive[a]]
+        if rounds == 0 and any(alive):
+            touched.update(start)
+        elif not touched:
+            break
+        rounds += 1
+        removed, new_flags = [], []
+        for a in touched:
+            if side[a] == S_SIDE:  # its one move, the control hop, died
+                removed.append(a)
+                continue
+            row = bytes(live[off[a]:off[a + 1]])
+            v = verdicts[kind[a]].get(row)
+            if v is None:
+                v = verdicts[kind[a]][row] = verdict(kind[a], row)
+            if v == REMOVE:
+                removed.append(a)
+            elif v == FLAG:
+                new_flags.append(a)
 
     ida, new = _part(base, name, alive, live)
-    flags = frozenset(new[a] for a in range(n) if flagged[a] and new[a] >= 0)
+    flags = frozenset(new[a] for a in range(n) if kind[a] >= 0 and kinds_of[kind[a]][3]
+                      and new[a] >= 0)
     return PruneResult(ida, flags, rounds)
 
 
 def prune_unbounded(aida: IDA, sc: Scenario) -> PruneResult:
     """Winning region for deterministic attackers with unbounded reactions."""
-    return _prune_flagging(
-        aida,
-        sc,
-        name=f"usda({sc.name})",
-        at_bound=lambda c: False,
-    )
+    return _prune_flagging(aida, sc, f"usda({sc.name})", [False] * len(aida.side))
 
 
 def prune_bounded(baida: IDA, sc: Scenario) -> PruneResult:
     """Winning region for bounded-reaction attackers on the counter game."""
     if sc.n_a is None:
         raise ValueError("bounded pruning needs the scenario reaction bound")
-    n_a = sc.n_a
-    return _prune_flagging(
-        baida, sc, name=f"bsda({sc.name})", at_bound=lambda c: c == n_a
-    )
+    return _prune_flagging(baida, sc, f"bsda({sc.name})", [c == sc.n_a for c in baida.counter])
 
 
 def prune(aida: IDA, sc: Scenario) -> PruneResult:

@@ -9,6 +9,11 @@ reference audit reads only the `Node` views, so it runs on either arena.
 
 `from_nodes` turns a `Node`-keyed structure into an array arena; tests
 use it to hand-build arenas.
+
+`walk_baida` is the first array-arena `construct_baida`, verbatim: it
+calls `counter_step` once per edge, on the edge's label.  The counter
+arena of `sdattack.build`, which reads the counter from a table, is
+compared with it array for array.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import cached_property
 
 from sdattack.alphabet import base_event, deleted, inserted, is_deleted, is_inserted
 from sdattack.automata import Automaton, ModelError, State, next_states, unobservable_reach
-from sdattack import game
+from sdattack import build, game
 from sdattack.build import Scenario, counter_step
 from sdattack.game import (
     E_SIDE,
@@ -376,3 +381,39 @@ def construct_baida(sc: Scenario, aida: IDA | None = None) -> IDA:
         h_es=h_es,
         initial=x0,
     )
+
+
+def walk_baida(sc: Scenario, aida: game.IDA | None = None) -> game.IDA:
+    """Counter-augmented game: the full game walked with the bound counter.
+
+    (state, counter) pairs are numbered breadth-first; an S-state takes its
+    control hop and an E-state its moves, in row order.
+    """
+    if sc.n_a is None or sc.n_a < 1:
+        raise ModelError("counter-augmented game needs a positive n_a")
+    if aida is None:
+        aida = build.construct_aida(sc)
+    ea, n_a, labels = sc.ea, sc.n_a, aida.syms.labels
+    keys = [(aida.root, sc.initial_counter)]  # (state of the full game, counter) of each state
+    ids = {keys[0]: 0}
+    off, lab, dst = [0], [], []
+    i = 0
+    while i < len(keys):
+        a, n = keys[i]
+        for k in range(aida.off[a], aida.off[a + 1]):
+            sym = aida.lab[k]
+            m = counter_step(ea, n_a, n, labels[sym]) if aida.side[a] == E_SIDE else n
+            if m is None:
+                continue
+            j = ids.get((aida.dst[k], m))
+            if j is None:
+                j = ids[(aida.dst[k], m)] = len(keys)
+                keys.append((aida.dst[k], m))
+            lab.append(sym)
+            dst.append(j)
+        off.append(len(lab))
+        i += 1
+    base, counter = map(list, zip(*keys))
+    pick = lambda xs: [xs[a] for a in base]  # noqa: E731
+    return game.IDA(f"baida({sc.name})", sc.ctx, aida.syms, aida.ests, pick(aida.side),
+                    pick(aida.est), pick(aida.sup), counter, off, lab, dst, 0, None)

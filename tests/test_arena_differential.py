@@ -3,8 +3,10 @@
 Over `random_scenario(Random(s), max_states=6)` for s in 0..99 and the
 demo, in five attacker modes, the arrays must give the reference's node
 lists in order, its edges in insertion order, its audit messages (on the
-arena and on corrupted copies) and its pruning.  The last class corrupts
-the arrays of the demo arena directly and pins the audit's messages.
+arena and on corrupted copies) and its pruning.  The counter arena must
+also give the arrays of the first array walk (`walk_baida`), over seeds
+0..299.  The last class corrupts the arrays of the demo arena directly
+and pins the audit's messages.
 """
 
 from __future__ import annotations
@@ -86,6 +88,24 @@ def test_arrays_match_the_node_reference(demo_scenario, mode):
         got, want = prune(aida, sc), reference_prune(as_arena(full_nodes), sc)
         assert_same(got.ida, want.ida, (sc.name, "pruned"))
         assert got.flagged == want.flagged, sc.name
+
+
+def arrays(ida: IDA) -> tuple:
+    return (ida.name, ida.side, ida.est, ida.sup, ida.counter, ida.off, ida.lab, ida.dst,
+            ida.root, ida.initial)
+
+
+@pytest.mark.parametrize("n_a", [1, 2])
+@pytest.mark.parametrize("bound_initial", [True, False])
+def test_counter_arena_matches_the_label_walk(demo_scenario, n_a, bound_initial):
+    """Counter steps read from the table give the arrays of calling
+    `counter_step` on the label of every edge."""
+    seeds = (random_scenario(Random(s), max_states=6, name=f"rand{s}") for s in range(300))
+    for base in (demo_scenario, *seeds):
+        sc = replace(base, mode="bounded", n_a=n_a, bound_initial_insertions=bound_initial)
+        aida = construct_aida(sc)
+        got, want = construct_baida(sc, aida), ref.walk_baida(sc, aida)
+        assert arrays(got) == arrays(want), sc.name
 
 
 class TestAuditCatchesFaultyArrays:

@@ -20,7 +20,7 @@ from sdattack.prune import (
 from sdattack.randgen import random_scenario
 from sdattack.supervisor import DEAD
 
-from prune_reference import drop_dead_supervisor, reference_prune
+from prune_reference import drop_dead_supervisor, reference_prune, worklist_prune
 from arena_reference import from_nodes
 
 
@@ -292,6 +292,33 @@ class TestMatchesRoundBasedReference:
             )
 
 
+def arrays(res):
+    ida = res.ida
+    return (ida.name, ida.side, ida.est, ida.sup, ida.counter, ida.off, ida.lab, ida.dst,
+            ida.root, ida.initial, res.flags, res.rounds)
+
+
+class TestMatchesWorklistReference:
+    """The pass gives the arrays, flags and rounds of the first worklist pass,
+    on the built arena and again on the arena it pruned.  The second run
+    matters: a flagged state keeps only its insertions, so its race
+    requirements are no longer in its row."""
+
+    def test_random_sweep(self):
+        for seed in range(300):
+            sc = random_scenario(Random(seed), name=f"rand{seed}")
+            aida = construct_aida(sc)
+            variants = [(replace(sc, mode=mode), aida) for mode in ("interruptible", "unbounded")]
+            for n_a in (1, 2):
+                var = replace(sc, mode="bounded", n_a=n_a)
+                variants.append((var, construct_baida(var, aida)))
+            for var, arena in variants:
+                got, want = PRUNERS[var.mode](arena, var), worklist_prune(arena, var)
+                assert arrays(got) == arrays(want), (seed, var.mode, var.n_a)
+                again = PRUNERS[var.mode](got.ida, var)
+                assert arrays(again) == arrays(worklist_prune(want.ida, var)), (seed, var.mode)
+
+
 class TestEmptyArena:
     @pytest.mark.parametrize("mode", sorted(PRUNERS))
     def test_absent_initial_state_gives_empty_arena(self, demo_scenario, demo_aida, mode):
@@ -303,3 +330,15 @@ class TestEmptyArena:
         assert not res.ida.nodes
         assert not res.ida.h_se and not res.ida.h_es
         assert res.flagged == frozenset()
+
+    @pytest.mark.parametrize("bound_initial", [True, False])
+    def test_counter_game_without_initial_state_is_empty(self, demo_scenario, demo_aida,
+                                                         bound_initial):
+        # The counter game of what pruning leaves of an infeasible arena.
+        sc = replace(demo_scenario, mode="bounded", n_a=1, bound_initial_insertions=bound_initial)
+        empty = from_nodes("empty", sc.ctx, [], [], {}, {}, demo_aida.initial)
+        baida = construct_baida(sc, empty)
+        assert (baida.root, baida.side, baida.off, baida.lab) == (-1, [], [0], [])
+        assert baida.initial == replace(demo_aida.initial, counter=sc.initial_counter)
+        res = prune_bounded(baida, sc)
+        assert not res.ida.side and res.flags == frozenset() and res.rounds == 0
