@@ -1,9 +1,10 @@
 """Print one sha256 digest per exhaustive attacker enumeration.
 
 The scenarios are `randgen.tiny_scenario(Random(s))` for s in 0..29, each
-in four attacker modes (interruptible, unbounded, bounded with n_a = 1
-and 2), enumerated with `EnumBounds(max_attackers=300)`, with and
-without `certifying_only`.  A digest covers the attackers in the order
+in five attacker modes (interruptible, unbounded, bounded with n_a = 1
+and 2, and bounded with n_a = 1 and `bound_initial_insertions = false`),
+enumerated with `EnumBounds(max_attackers=300)`, with and without
+`certifying_only`: 300 lines.  A digest covers the attackers in the order
 they are yielded (transitions, committed insertions, initial epsilon),
 or the refusal and the number of attackers before it, plus each
 attacker's `check_problem1` verdict at the enumeration horizon and its
@@ -38,7 +39,9 @@ from sdattack.prune import prune_interruptible
 from sdattack.randgen import tiny_scenario
 
 COUNT = 30  # tiny scenarios, seeds 0..COUNT-1
-MODES = (("interruptible", None), ("unbounded", None), ("bounded", 1), ("bounded", 2))
+# (mode, n_a, bound_initial_insertions)
+MODES = (("interruptible", None, True), ("unbounded", None, True), ("bounded", 1, True),
+         ("bounded", 2, True), ("bounded", 1, False))
 BOUNDS = EnumBounds(max_attackers=300)
 
 
@@ -66,11 +69,11 @@ def main() -> int:
     for s in range(COUNT):
         base = tiny_scenario(Random(s), name=f"tiny{s}")
         isda = prune_interruptible(construct_aida(base), base).ida
-        for mode, n_a in MODES:
-            sc = replace(base, mode=mode, n_a=n_a)
+        for mode, n_a, bounded in MODES:
+            sc = replace(base, mode=mode, n_a=n_a, bound_initial_insertions=bounded)
             for certifying_only in (True, False):
                 digest = enumeration_digest(sc, isda, certifying_only)
-                tag = f"{mode}{n_a or ''}"
+                tag = f"{mode}{n_a or ''}{'' if bounded else 'free'}"
                 label = "certifying" if certifying_only else "all"
                 print(f"{digest} tiny{s}/{tag}/{label}", flush=True)
     return 0

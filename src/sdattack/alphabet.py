@@ -1,4 +1,4 @@
-"""Attacker edit alphabet and the three string maps it induces.
+"""Attacker edit alphabet and what the supervisor sees of an edited string.
 
 Compromised observable events come in three flavours: the genuine event
 `e`, an inserted copy `e.ins` (seen by the supervisor, never executed by
@@ -35,7 +35,7 @@ def is_deleted(sym: str) -> bool:
 
 
 def base_event(sym: str) -> str:
-    """Strip an edit suffix, if any (the mask map on single symbols)."""
+    """Strip an edit suffix, if any."""
     if is_inserted(sym):
         return sym[: -len(INS_SUFFIX)]
     if is_deleted(sym):
@@ -103,16 +103,3 @@ class EditAlphabet:
                 continue
             out.append(base_event(sym) if is_inserted(sym) else sym)
         return tuple(out)
-
-    def plant_view(self, s: Sequence[str]) -> tuple[str, ...]:
-        """What the plant actually executed: insertions vanish, deletions happened."""
-        out: list[str] = []
-        for sym in s:
-            if is_inserted(sym):
-                continue
-            out.append(base_event(sym) if is_deleted(sym) else sym)
-        return tuple(out)
-
-    def mask(self, s: Sequence[str]) -> tuple[str, ...]:
-        """Drop edit subscripts, keep every symbol."""
-        return tuple(base_event(sym) for sym in s)

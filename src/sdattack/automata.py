@@ -11,7 +11,7 @@ explicit value, never an implicit self loop.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -45,11 +45,6 @@ def state_token(x: State) -> str:
     if callable(own):
         return own()
     return str(x)
-
-
-def canon_states(states: Iterable[State]) -> tuple[State, ...]:
-    """Canonically ordered tuple of a state set (lexicographic over tokens)."""
-    return tuple(sorted(states, key=state_token))
 
 
 @dataclass(frozen=True)
@@ -134,17 +129,6 @@ class Automaton:
         return tuple(self.states[i] for _, i in pairs)
 
 
-def active_events(a: Automaton, states: Iterable[State]) -> frozenset[str]:
-    """Events enabled at some member of the state set."""
-    out: set[str] = set()
-    known = set(a.states)
-    for x in states:
-        if x not in known:
-            raise ModelError(f"{a.name}: unknown state {state_token(x)}")
-        out.update(a.out_events(x))
-    return frozenset(out)
-
-
 def step(a: Automaton, x: State, s: Sequence[str]) -> State | None:
     """Iterated transition; undefined propagates as None."""
     cur: State | None = x
@@ -153,12 +137,6 @@ def step(a: Automaton, x: State, s: Sequence[str]) -> State | None:
             return None
         cur = a.trans.get((cur, ev))
     return cur
-
-
-def project(events: Iterable[EventDecl], s: Sequence[str]) -> tuple[str, ...]:
-    """Natural projection: erase unobservable events, keep order."""
-    obs = {e.name for e in events if e.observable}
-    return tuple(ev for ev in s if ev in obs)
 
 
 def unobservable_reach(

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Callable
 
 from .alphabet import EditAlphabet, deleted, inserted
-from .automata import Automaton, ModelError, State, next_states, state_token, unobservable_reach
+from .automata import Automaton, State, next_states, state_token, unobservable_reach
 from .supervisor import RTilde
 
 S_SIDE = "S"
@@ -262,12 +262,6 @@ class IDA:
                 tuple(a for a in nodes if a.side == E_SIDE), frozenset(nodes),
                 MappingProxyType(h_se), MappingProxyType(h_es), MappingProxyType(es_adj))
 
-    def out_labels(self, a: Node) -> frozenset[str]:
-        if a.side == S_SIDE:
-            hop = self.h_se.get(a)
-            return frozenset() if hop is None else frozenset({gamma_label(hop[0])})
-        return frozenset(ev for ev, _ in self.es_adj.get(a, ()))
-
     @cached_property
     def steps(self) -> dict[tuple[int, str], int]:
         """(E-state, edited symbol) -> the E-state after the move and its
@@ -372,21 +366,6 @@ class Successors:
     def race_events(self, est: int, q: State) -> list[str]:
         """Observations the supervisor enables and the plant can execute."""
         return [move[0] for move in self._row(q)[2] if self.moved(est, move[0]) >= 0]
-
-
-def is_race_free(z: Node, ida: IDA) -> bool:
-    """No enabled-and-feasible observation may outrun the attacker.
-
-    At an E-state every event the supervisor enables and the plant can
-    execute must have one of its reaction heads (the genuine edge or the
-    deletion edge) present.  Pruning keeps the same test as counts of
-    unmet requirements.
-    """
-    if z.side != E_SIDE:
-        raise ModelError("race-freeness is a property of E-states")
-    heads, labels, succ = ida.ctx.ea.reaction_heads, ida.out_labels(z), Successors(ida.ctx)
-    events = succ.race_events(succ.intern(z.info.plant), z.info.sup)
-    return all(any(sym in labels for sym in heads(ev)) for ev in events)
 
 
 def is_subsystem(small: IDA, big: IDA) -> bool:

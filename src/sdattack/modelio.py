@@ -383,29 +383,38 @@ def parse_attack(text: str, ea, source: str = "<string>") -> AttackFunction:
     lines = _lex(text, source)
     mode: str | None = None
     n_a: int | None = None
-    initial_epsilon = True
+    initial_epsilon: bool | None = None
     auto: dict[State, str | None] = {}
     auto_lines: list[tuple[int, list[str]]] = []
     aut_lines: list[tuple[int, list[str]]] = []
-    for lineno, fields in lines:
+    if lines[0][1] != ["strategy"]:
+        _fail(source, lines[0][0], "expected: strategy")
+    for lineno, fields in lines[1:]:
         kind = fields[0]
-        if kind == "strategy":
-            continue
         if kind == "mode":
+            if mode is not None:
+                _fail(source, lineno, "second mode line")
             if len(fields) != 2 or fields[1] not in MODES:
                 _fail(source, lineno, f"mode must be one of {sorted(MODES)}")
             mode = fields[1]
         elif kind == "n_a":
+            if n_a is not None:
+                _fail(source, lineno, "second n_a line")
             try:
-                n_a = int(fields[1])
-            except (IndexError, ValueError):
+                (value,) = fields[1:]
+                n_a = int(value)
+            except ValueError:
                 _fail(source, lineno, "expected: n_a <integer>")
         elif kind == "initial_epsilon":
+            if initial_epsilon is not None:
+                _fail(source, lineno, "second initial_epsilon line")
             if len(fields) != 2:
                 _fail(source, lineno, "expected: initial_epsilon true|false")
             initial_epsilon = _parse_bool(fields[1], source, lineno)
         elif kind == "auto":
             auto_lines.append((lineno, fields))
+        elif kind == "strategy":
+            _fail(source, lineno, "second strategy line")
         else:
             aut_lines.append((lineno, fields))
     if mode is None:
@@ -415,10 +424,12 @@ def parse_attack(text: str, ea, source: str = "<string>") -> AttackFunction:
     for lineno, fields in auto_lines:
         if len(fields) != 3 or fields[1] not in state_set:
             _fail(source, lineno, "expected: auto <known state> <symbol|->")
+        if fields[1] in auto:
+            _fail(source, lineno, f"second auto line for {fields[1]!r}")
         auto[fields[1]] = None if fields[2] == "-" else fields[2]
     try:
         return AttackFunction(
-            f, mode, ea, n_a=n_a, auto_insert=auto, initial_epsilon=initial_epsilon
+            f, mode, ea, n_a=n_a, auto_insert=auto, initial_epsilon=initial_epsilon is not False
         )
     except ModelError as exc:
         raise ParseError(f"{source}: {exc}") from exc

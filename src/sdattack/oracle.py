@@ -80,7 +80,6 @@ def reach_estimate(
     rt: RTilde,
     ea: EditAlphabet,
     edited: Word,
-    fa: AttackFunction | None = None,
 ) -> frozenset[State]:
     """Attacker's plant-state estimate after an edited string.
 
@@ -89,8 +88,6 @@ def reach_estimate(
     unobservable part of the current control decision, which the
     supervisor view of the prefix reaches one symbol at a time.
     """
-    if fa is not None and fa.state_after(edited) is None:
-        raise ValueError("edited string is not a history of the attack encoder")
     ea.check_string(edited)
     q: State | None = rt.initial
     est = unobservable_reach(plant, {plant.initial}, rt.gamma(q))
@@ -595,57 +592,34 @@ def _ins_downsets(syms: tuple[str, ...], depth: int) -> list[frozenset[Word]]:
 def _point_candidates(
     sc, point, bounds: EnumBounds
 ) -> list[frozenset[Word]]:
-    """All reaction choices a total strategy may take at one decision point."""
+    """All reaction choices a total strategy may take at one decision point:
+    a head, then insertions.  The initial burst has the empty head, and it
+    alone may leave out the empty string."""
     ea: EditAlphabet = sc.ea
     ins = tuple(sorted(ea.insertions))
-    det = sc.mode in DETERMINISTIC
 
-    def room(cap: int, counter: int) -> int:
-        """Insertions up to `cap` that the bound allows at a `counter_step` count."""
+    def room(head: Word, counter: int) -> int:
+        """Insertions after `head` that `max_reaction` and the bound allow."""
+        cap = bounds.max_reaction - len(head)
         if sc.mode == "bounded" and counter != FREE_COUNTER:
             cap = min(cap, sc.n_a - counter)
         return max(cap, 0)
 
     if point is None:
-        depth = room(bounds.max_reaction, sc.initial_counter)
-        if det:
-            chains = [()] + [
-                c for l in range(1, depth + 1) for c in itertools.product(ins, repeat=l)
-            ]
-            return [frozenset({c}) for c in chains]
-        bursts = _ins_downsets(ins, depth)
-        out = []
-        for eps in (True, False):
-            for b in bursts:
-                s = b | {()} if eps else b
-                if s:
-                    out.append(frozenset(s))
-        return sorted(set(out), key=lambda s: (len(s), sorted(s)))
-
-    _, e = point
-    roots = [
-        (sym, room(bounds.max_reaction - 1, counter_step(ea, sc.n_a, 0, sym)))
-        for sym in ea.reaction_heads(e)
-    ]
-    if det:
-        out = []
-        for root, depth in roots:
-            for l in range(depth + 1):
-                for c in itertools.product(ins, repeat=l):
-                    out.append(frozenset({(root,) + c}))
-        return out
-    per_root: list[list[frozenset[Word]]] = []
-    for root, depth in roots:
-        opts: list[frozenset[Word]] = [frozenset()]
-        for sub in _ins_downsets(ins, depth):
-            opts.append(frozenset({(root,)}) | frozenset((root,) + t for t in sub))
-        per_root.append(opts)
-    out = []
-    for combo in itertools.product(*per_root):
-        merged = frozenset().union(*combo)
-        if merged:
-            out.append(merged)
-    return sorted(set(out), key=lambda s: (len(s), sorted(s)))
+        heads = [((), sc.initial_counter)]
+    else:
+        heads = [((sym,), counter_step(ea, sc.n_a, 0, sym)) for sym in ea.reaction_heads(point[1])]
+    roots = [(head, room(head, counter)) for head, counter in heads]
+    if sc.mode in DETERMINISTIC:
+        return [frozenset({head + c}) for head, depth in roots
+                for l in range(depth + 1) for c in itertools.product(ins, repeat=l)]
+    per_head = [[frozenset()] + [frozenset({head}) | frozenset(head + t for t in sub)
+                                 for sub in _ins_downsets(ins, depth)] for head, depth in roots]
+    out = {frozenset().union(*combo) for combo in itertools.product(*per_head)}
+    if point is None:
+        out |= {c - {()} for c in out}
+    out.discard(frozenset())
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 def _table_attack(sc, table: dict) -> AttackFunction:

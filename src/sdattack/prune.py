@@ -19,15 +19,15 @@ Three variants:
 All three run one backward worklist in O(V+E) (attractor computation:
 Zielonka, TCS 1998; Liu & Smolka, ICALP 1998).  The set-up builds, per
 edge, its state, a `live` byte and the edges grouped by target (a counting
-sort into machine words); per state, whether the initial state reaches it
-past the dead supervisor state and, for an E-state, its kind: row labels,
-race events (`Successors.race_events`), at the bound, flagged.  A test
-reads the kind and the row of `live` bytes only, so each verdict is
+sort into machine words); per state, whether its supervisor state is
+dead (generation 0 removes those) and, for an E-state, its kind: row
+labels, race events (`Successors.race_events`), at the bound, flagged.  A
+test reads the kind and the row of `live` bytes only, so each verdict is
 computed once per kind and row.  Each generation tests the states whose
 rows changed against the arena the previous one left, so removals and
 flags equal those of testing the whole arena round after round.
-`PruneResult.rounds` counts the generations; states cut off from the
-initial state are trimmed only at the end, so on large arenas it exceeds
+`PruneResult.rounds` counts the generations; the final trim removes what
+the initial state no longer reaches, so on large arenas `rounds` exceeds
 the number of whole-arena rounds to the same fixpoint.
 """
 
@@ -37,7 +37,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import and_, eq, not_, sub
+from operator import and_, eq, ne, not_, sub
 
 from .build import Scenario, construct_baida
 from .game import E_SIDE, GENUINE, HOP, IDA, INSERTION, S_SIDE, Node, Successors
@@ -85,19 +85,6 @@ def _part(base: IDA, name: str, keep: list[bool], live: list[bool]) -> tuple[IDA
     ida = IDA(name, base.ctx, base.syms, base.ests, pick(base.side), pick(base.est),
               pick(base.sup), pick(base.counter), off, lab, dst, root, base.initial)
     return ida, new
-
-
-def _alive(base: IDA) -> bytearray:
-    """The states the initial state reaches without passing the dead supervisor state."""
-    off, dst = base.off, base.dst
-    seen = bytearray(map(eq, base.sup, repeat(DEAD)))  # a dead state is never entered
-    alive, stack = bytearray(len(seen)), [base.root] if base.root >= 0 else []
-    while stack:
-        a = stack.pop()
-        if not seen[a]:
-            seen[a] = alive[a] = 1
-            stack.extend(dst[off[a]:off[a + 1]])
-    return alive
 
 
 def prune_interruptible(aida: IDA, sc: Scenario) -> PruneResult:
@@ -171,8 +158,8 @@ def _prune_flagging(base: IDA, sc: Scenario, name: str, bound: list[bool]) -> Pr
     # the edges into d, in id order, at pred[pred_off[d]:pred_off[d + 1]], in machine words: unlike
     # a list they hold no int objects, which counts on arenas of 10^6 edges
     pred_off = memoryview(array("q", [0, *pred_off[:n]]))
-    alive = _alive(base)
-    removed = list(compress(range(n), map(not_, alive)))  # generation 0
+    alive = bytearray(map(ne, sup, repeat(DEAD)))
+    removed = list(compress(range(n), map(not_, alive)))  # generation 0: the dead states
     live = bytearray([1]) * len(lab)
     race = Successors(base.ctx, base.ests).race_events
     kind, start = [-1] * n, []  # start: the E-states that fail with every move alive

@@ -24,6 +24,7 @@ from .automata import (
     observer,
     parallel,
     state_token,
+    step,
 )
 
 DEAD = "dead"
@@ -96,12 +97,7 @@ class RTilde:
         return self.automaton.succ(q, ev)
 
     def run(self, q: State, s: Iterable[str]) -> State | None:
-        cur: State | None = q
-        for ev in s:
-            if cur is None:
-                return None
-            cur = self.automaton.succ(cur, ev)
-        return cur
+        return step(self.automaton, q, s)
 
 
 def build_rtilde(plant: Automaton, sup: SupervisorRealization) -> RTilde:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .alphabet import EditAlphabet, base_event, deleted, inserted, is_deleted, is_inserted
-from .automata import Automaton, EventDecl, ModelError, State, state_token
+from .automata import Automaton, EventDecl, ModelError, State, state_token, step
 from .build import DETERMINISTIC, Scenario, construct_aida, counter_step
 from .game import E_SIDE, IDA, INSERTION, Node
 from .prune import PruneResult, prune
@@ -48,12 +48,7 @@ class AttackFunction:
         return self.mode in DETERMINISTIC
 
     def state_after(self, s: tuple[str, ...]) -> State | None:
-        cur: State | None = self.f.initial
-        for sym in s:
-            if cur is None:
-                return None
-            cur = self.f.succ(cur, sym)
-        return cur
+        return step(self.f, self.f.initial, s)
 
     def chain_from(self, r: State) -> tuple[str, ...]:
         """Committed insertion chain of a deterministic attacker, from r.
@@ -367,35 +362,35 @@ def make_attack(
 def reactions(
     fa: AttackFunction, r: State, e: str, max_len: int | None = None
 ) -> frozenset[tuple[str, ...]]:
-    """Reaction strings offered at encoder state r for observation e.
-
-    Interruptible attackers yield every prefix of every insertion
-    continuation (simple paths unless max_len forces longer enumeration);
-    deterministic attackers yield the single committed string.
-    """
+    """Reaction strings offered at encoder state r for observation e: a
+    head (`reaction_heads`) the encoder plays from r, then a tail."""
     out: set[tuple[str, ...]] = set()
     for sym in fa.ea.reaction_heads(e):
         landing = fa.f.succ(r, sym)
-        if landing is None:
-            continue
-        if fa.deterministic:
-            out.add((sym,) + fa.chain_from(landing))
-        else:
-            out.update((sym,) + tail for tail in _insertion_prefixes(fa, landing, max_len))
+        if landing is not None:
+            out.update((sym,) + tail for tail in _tails(fa, landing, max_len))
     return frozenset(out)
 
 
 def initial_reactions(
     fa: AttackFunction, max_len: int | None = None
 ) -> frozenset[tuple[str, ...]]:
-    """The initial burst set: what the attacker may do before anything happens."""
-    r = fa.f.initial
+    """The initial burst set: the reaction with the empty head, before anything happens.
+
+    The empty burst counts where `initial_epsilon` allows it; a
+    deterministic attacker plays its committed chain either way.
+    """
+    tails = _tails(fa, fa.f.initial, max_len)
+    return frozenset(t for t in tails if t or fa.initial_epsilon or fa.deterministic)
+
+
+def _tails(fa: AttackFunction, r: State, max_len: int | None) -> set[tuple[str, ...]]:
+    """The insertions a reaction may end with once it reaches r: the committed
+    chain, or every prefix of every insertion continuation (simple paths
+    unless max_len forces longer enumeration)."""
     if fa.deterministic:
-        return frozenset({fa.chain_from(r)})
-    tails = _insertion_prefixes(fa, r, max_len)
-    if not fa.initial_epsilon:
-        tails = {t for t in tails if t}
-    return frozenset(tails)
+        return {fa.chain_from(r)}
+    return _insertion_prefixes(fa, r, max_len)
 
 
 def _insertion_prefixes(
@@ -423,29 +418,6 @@ def _insertion_prefixes(
             out.add(nxt)
             stack.append((dst, nxt, seen | {dst}))
     return out
-
-
-def evaluate(
-    fa: AttackFunction,
-    s: tuple[str, ...],
-    e: str,
-    max_len: int | None = None,
-) -> frozenset[tuple[str, ...]] | None:
-    """The reaction set offered after edited history s on observation e.
-
-    None means the history itself is outside the encoder (partiality).
-    The empty observation asks for the initial burst and needs s empty.
-    """
-    if e == "":
-        if s:
-            return frozenset()
-        return initial_reactions(fa, max_len)
-    if e not in fa.ea.sigma_o:
-        raise ValueError(f"{e!r} is not an observable event")
-    r = fa.state_after(s)
-    if r is None:
-        return None
-    return reactions(fa, r, e, max_len)
 
 
 @dataclass

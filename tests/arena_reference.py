@@ -8,7 +8,8 @@ in order, edges in insertion order, audit messages and pruning.  The
 reference audit reads only the `Node` views, so it runs on either arena.
 
 `from_nodes` turns a `Node`-keyed structure into an array arena; tests
-use it to hand-build arenas.
+use it to hand-build arenas.  `out_labels` and `is_race_free` read a
+state's moves through the `Node` views of either arena.
 
 `walk_baida` is the first array-arena `construct_baida`, verbatim: it
 calls `counter_step` once per edge, on the edge's label.  The counter
@@ -57,6 +58,29 @@ def from_nodes(name, ctx, s_states, e_states, h_se, h_es, initial) -> game.IDA:
                               index.get(initial, -1), initial)
 
 
+def out_labels(ida, a: Node) -> frozenset[str]:
+    """The labels of a state's moves, in an array arena or a `Node` one."""
+    if a.side == S_SIDE:
+        hop = ida.h_se.get(a)
+        return frozenset() if hop is None else frozenset({gamma_label(hop[0])})
+    return frozenset(ev for ev, _ in ida.es_adj.get(a, ()))
+
+
+def is_race_free(z: Node, ida) -> bool:
+    """No enabled-and-feasible observation may outrun the attacker.
+
+    At an E-state every event the supervisor enables and the plant can
+    execute must have one of its reaction heads (the genuine edge or the
+    deletion edge) present.  Pruning keeps the same test as counts of
+    unmet requirements.
+    """
+    if z.side != E_SIDE:
+        raise ModelError("race-freeness is a property of E-states")
+    heads, labels, succ = ida.ctx.ea.reaction_heads, out_labels(ida, z), game.Successors(ida.ctx)
+    events = succ.race_events(succ.intern(z.info.plant), z.info.sup)
+    return all(any(sym in labels for sym in heads(ev)) for ev in events)
+
+
 @dataclass
 class IDA:
     """Bipartite attack structure.
@@ -85,12 +109,6 @@ class IDA:
         for (src, ev), dst in self.h_es.items():
             adj.setdefault(src, []).append((ev, dst))
         return {z: tuple(edges) for z, edges in adj.items()}
-
-    def out_labels(self, a: Node) -> frozenset[str]:
-        if a.side == S_SIDE:
-            hop = self.h_se.get(a)
-            return frozenset() if hop is None else frozenset({gamma_label(hop[0])})
-        return frozenset(ev for ev, _ in self.es_adj.get(a, ()))
 
 
 class Successors:

@@ -3,7 +3,8 @@
 `reference_enumerate_attackers` states the enumeration directly: for
 every partial reaction table it builds the table's encoder, runs one
 fresh `Explorer` over the closed loop, and reads the table's holes off
-the reactions that exploration computes.  `reference_check_embedding`
+the reactions that exploration computes, with the candidates of
+`reference_point_candidates`.  `reference_check_embedding`
 builds the attacker's edited strings from scratch for every observation
 history and walks the arena from its initial state for every prefix.
 The tests compare the incremental enumerator and the linear embedding
@@ -12,8 +13,12 @@ check of `sdattack.oracle` with both.
 
 from __future__ import annotations
 
+import itertools
+
 from literal_reference import fhat_strings
+from sdattack.alphabet import EditAlphabet
 from sdattack.automata import State
+from sdattack.build import DETERMINISTIC, FREE_COUNTER, counter_step
 from sdattack.game import IDA, Node
 from sdattack.oracle import (
     ClosedLoopConfig,
@@ -22,10 +27,70 @@ from sdattack.oracle import (
     OracleBudgetError,
     Word,
     _has_insertion_cycle,
-    _point_candidates,
+    _ins_downsets,
     _table_attack,
 )
 from sdattack.synth import AttackFunction
+
+
+def reference_point_candidates(
+    sc, point, bounds: EnumBounds
+) -> list[frozenset[Word]]:
+    """All reaction choices a total strategy may take at one decision point.
+
+    The candidates as `sdattack.oracle` stated them before the initial
+    burst became the reaction with the empty head, verbatim.
+    """
+    ea: EditAlphabet = sc.ea
+    ins = tuple(sorted(ea.insertions))
+    det = sc.mode in DETERMINISTIC
+
+    def room(cap: int, counter: int) -> int:
+        """Insertions up to `cap` that the bound allows at a `counter_step` count."""
+        if sc.mode == "bounded" and counter != FREE_COUNTER:
+            cap = min(cap, sc.n_a - counter)
+        return max(cap, 0)
+
+    if point is None:
+        depth = room(bounds.max_reaction, sc.initial_counter)
+        if det:
+            chains = [()] + [
+                c for l in range(1, depth + 1) for c in itertools.product(ins, repeat=l)
+            ]
+            return [frozenset({c}) for c in chains]
+        bursts = _ins_downsets(ins, depth)
+        out = []
+        for eps in (True, False):
+            for b in bursts:
+                s = b | {()} if eps else b
+                if s:
+                    out.append(frozenset(s))
+        return sorted(set(out), key=lambda s: (len(s), sorted(s)))
+
+    _, e = point
+    roots = [
+        (sym, room(bounds.max_reaction - 1, counter_step(ea, sc.n_a, 0, sym)))
+        for sym in ea.reaction_heads(e)
+    ]
+    if det:
+        out = []
+        for root, depth in roots:
+            for l in range(depth + 1):
+                for c in itertools.product(ins, repeat=l):
+                    out.append(frozenset({(root,) + c}))
+        return out
+    per_root: list[list[frozenset[Word]]] = []
+    for root, depth in roots:
+        opts: list[frozenset[Word]] = [frozenset()]
+        for sub in _ins_downsets(ins, depth):
+            opts.append(frozenset({(root,)}) | frozenset((root,) + t for t in sub))
+        per_root.append(opts)
+    out = []
+    for combo in itertools.product(*per_root):
+        merged = frozenset().union(*combo)
+        if merged:
+            out.append(merged)
+    return sorted(set(out), key=lambda s: (len(s), sorted(s)))
 
 
 def induced_e_state(ida: IDA, s: tuple[str, ...]) -> Node | None:
@@ -93,12 +158,12 @@ def reference_enumerate_attackers(
                 raise OracleBudgetError("too many attackers within the bounds")
             yield fa
             return
-        for choice in _point_candidates(sc, point, bounds):
+        for choice in reference_point_candidates(sc, point, bounds):
             table[point] = choice
             yield from rec(table)
             del table[point]
 
-    for init_choice in _point_candidates(sc, None, bounds):
+    for init_choice in reference_point_candidates(sc, None, bounds):
         yield from rec({None: init_choice})
 
 

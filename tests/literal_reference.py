@@ -8,6 +8,12 @@ unobservable events may fire.  It states the semantics directly and
 costs exponential time; the tests hold the macro-state exploration of
 `sdattack.oracle` to it.  Like `oracle`, it treats the supervisor
 completion as the judge.
+
+`reactions` and `initial_reactions` are the reaction sets as
+`sdattack.synth` stated them before the initial burst became the
+reaction with the empty head, verbatim; `fhat_strings` and `_Literal`
+read them.  `evaluate` asks `sdattack.synth` for the reaction set after
+an edited history.
 """
 
 from __future__ import annotations
@@ -18,7 +24,65 @@ from sdattack.alphabet import EditAlphabet
 from sdattack.automata import Automaton, State, language, parallel, step
 from sdattack.oracle import ClosedLoopConfig, Word
 from sdattack.supervisor import RTilde
-from sdattack.synth import AttackFunction, initial_reactions, reactions
+from sdattack import synth
+from sdattack.synth import AttackFunction, _insertion_prefixes
+
+
+def reactions(
+    fa: AttackFunction, r: State, e: str, max_len: int | None = None
+) -> frozenset[tuple[str, ...]]:
+    """Reaction strings offered at encoder state r for observation e.
+
+    Interruptible attackers yield every prefix of every insertion
+    continuation (simple paths unless max_len forces longer enumeration);
+    deterministic attackers yield the single committed string.
+    """
+    out: set[tuple[str, ...]] = set()
+    for sym in fa.ea.reaction_heads(e):
+        landing = fa.f.succ(r, sym)
+        if landing is None:
+            continue
+        if fa.deterministic:
+            out.add((sym,) + fa.chain_from(landing))
+        else:
+            out.update((sym,) + tail for tail in _insertion_prefixes(fa, landing, max_len))
+    return frozenset(out)
+
+
+def initial_reactions(
+    fa: AttackFunction, max_len: int | None = None
+) -> frozenset[tuple[str, ...]]:
+    """The initial burst set: what the attacker may do before anything happens."""
+    r = fa.f.initial
+    if fa.deterministic:
+        return frozenset({fa.chain_from(r)})
+    tails = _insertion_prefixes(fa, r, max_len)
+    if not fa.initial_epsilon:
+        tails = {t for t in tails if t}
+    return frozenset(tails)
+
+
+def evaluate(
+    fa: AttackFunction,
+    s: tuple[str, ...],
+    e: str,
+    max_len: int | None = None,
+) -> frozenset[tuple[str, ...]] | None:
+    """The reaction set offered after edited history s on observation e.
+
+    None means the history itself is outside the encoder (partiality).
+    The empty observation asks for the initial burst and needs s empty.
+    """
+    if e == "":
+        if s:
+            return frozenset()
+        return synth.initial_reactions(fa, max_len)
+    if e not in fa.ea.sigma_o:
+        raise ValueError(f"{e!r} is not an observable event")
+    r = fa.state_after(s)
+    if r is None:
+        return None
+    return synth.reactions(fa, r, e, max_len)
 
 
 def supervisor_decision(

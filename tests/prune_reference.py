@@ -22,18 +22,18 @@ from typing import Callable
 from sdattack.alphabet import is_inserted
 from sdattack.build import Scenario
 from sdattack.game import (
-    E_SIDE, GENUINE, HOP, IDA, INSERTION, S_SIDE, Node, Successors, is_race_free,
+    E_SIDE, GENUINE, HOP, IDA, INSERTION, S_SIDE, Node, Successors,
 )
 from sdattack.prune import PruneResult
 from sdattack.supervisor import DEAD
 
-from arena_reference import from_nodes
+from arena_reference import from_nodes, is_race_free, out_labels
 
 
 def _labels(ida: IDA) -> dict[Node, frozenset[str]]:
-    out: dict[Node, frozenset[str]] = {a: ida.out_labels(a) for a in ida.s_states}
+    out: dict[Node, frozenset[str]] = {a: out_labels(ida, a) for a in ida.s_states}
     for z in ida.e_states:
-        out[z] = ida.out_labels(z)
+        out[z] = out_labels(ida, z)
     return out
 
 

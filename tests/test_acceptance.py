@@ -32,9 +32,11 @@ from sdattack.oracle import (
 )
 from sdattack.prune import prune_bounded, prune_interruptible, prune_unbounded
 from sdattack.randgen import random_scenario, tiny_scenario
-from sdattack.synth import evaluate, synthesize
+from sdattack.synth import synthesize
 
+from arena_reference import out_labels
 from conftest import DEMO_DIR
+from literal_reference import evaluate
 
 POOL_SIZE = 200
 
@@ -174,7 +176,7 @@ def test_interruptible_pruning_is_sound():
 
         # no feasible observation can outrun the attacker
         for z in isda.e_states:
-            labels = isda.out_labels(z)
+            labels = out_labels(isda, z)
             for ev in rt.gamma(z.info.sup) & plant.obs_events:
                 if not next_states(plant, z.info.plant, ev):
                     continue

@@ -1,4 +1,4 @@
-"""Edit alphabet symbols and the two channel views."""
+"""Edit alphabet symbols and the supervisor's view of an edited string."""
 
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ class TestEditAlphabet:
         assert EA.reaction_heads("c") == ("c", "c.del")
         for e in EA.sigma_o:
             heads = EA.reaction_heads(e)
-            assert all(EA.plant_view((h,)) == (e,) for h in heads)
+            assert all(base_event(h) == e for h in heads)
             assert set(heads) - {e} == {h for h in EA.deletions if base_event(h) == e}
         assert EditAlphabet(frozenset({"a"}), frozenset()).reaction_heads("a") == ("a",)
 
@@ -76,24 +76,17 @@ class TestViews:
     def test_hand_values(self):
         s = ("a", "b.ins", "b", "c.del", "a")
         assert EA.supervisor_view(s) == ("a", "b", "b", "a")
-        assert EA.plant_view(s) == ("a", "b", "c", "a")
-        assert EA.mask(s) == ("a", "b", "b", "c", "a")
 
     @given(edit_strings)
     def test_views_drop_one_side_each(self, s):
         sup = EA.supervisor_view(s)
-        plant = EA.plant_view(s)
         assert len(sup) == len(s) - sum(is_deleted(x) for x in s)
-        assert len(plant) == len(s) - sum(is_inserted(x) for x in s)
-        assert len(EA.mask(s)) == len(s)
 
     @given(edit_strings)
     def test_views_land_in_base_alphabet(self, s):
-        for view in (EA.supervisor_view(s), EA.plant_view(s), EA.mask(s)):
-            assert all(sym in EA.sigma_o for sym in view)
+        assert all(sym in EA.sigma_o for sym in EA.supervisor_view(s))
 
     @given(edit_strings)
     def test_plain_strings_are_fixed_points(self, s):
         plain = tuple(base_event(x) for x in s)
         assert EA.supervisor_view(plain) == plain
-        assert EA.plant_view(plain) == plain

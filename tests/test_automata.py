@@ -9,14 +9,11 @@ from sdattack.automata import (
     Automaton,
     EventDecl,
     ModelError,
-    active_events,
-    canon_states,
     iter_strings,
     language,
     next_states,
     observer,
     parallel,
-    project,
     rename_states,
     state_token,
     step,
@@ -107,11 +104,6 @@ class TestConstruction:
         with pytest.raises(ModelError):
             Automaton("x", ("0",), (EventDecl("a", True, True),), {("0", "b"): "0"}, "0")
 
-    def test_active_events_unknown_state(self):
-        a = Automaton("x", ("0",), (EventDecl("a", True, True),), {}, "0")
-        with pytest.raises(ModelError):
-            active_events(a, ["missing"])
-
     def test_rename_requires_injective_map(self):
         a = Automaton(
             "x", ("0", "1"), (EventDecl("a", True, True),), {("0", "a"): "1"}, "0"
@@ -132,22 +124,9 @@ class TestBasics:
         assert step(a, "0", ("a", "b", "a")) == "1"
         assert step(a, "0", ("b",)) is None
 
-    def test_project_erases_unobservables(self):
-        decls = (
-            EventDecl("a", True, True),
-            EventDecl("b", False, True),
-            EventDecl("c", True, False),
-        )
-        assert project(decls, ("a", "b", "c", "b")) == ("a", "c")
-        assert project((), ("a",)) == ()
-
     def test_state_token_and_canon_order(self):
         assert state_token(frozenset({"b", "a"})) == "{a,b}"
         assert state_token(("x", frozenset({"q"}))) == "(x,{q})"
-        mixed = [frozenset({"b"}), frozenset({"a", "c"})]
-        assert canon_states(mixed) == tuple(
-            sorted(mixed, key=state_token)
-        )
 
     def test_iter_strings_is_breadth_first(self):
         a = Automaton(

@@ -24,7 +24,7 @@ from sdattack.game import E_SIDE, InformationState, Node, S_SIDE
 from sdattack.randgen import random_scenario
 from sdattack.supervisor import DEAD
 
-from arena_reference import from_nodes
+from arena_reference import from_nodes, out_labels
 
 
 def node(side, plant, sup, counter=None) -> Node:
@@ -130,7 +130,7 @@ class TestFixtureArena:
     def test_critical_e_states_are_terminal(self, demo_aida):
         goal = e(["2"], "A")
         assert goal in demo_aida.e_states
-        assert not demo_aida.out_labels(goal)
+        assert not out_labels(demo_aida, goal)
 
     def test_construction_is_deterministic(self, demo_scenario, demo_aida):
         again = construct_aida(demo_scenario)
@@ -276,7 +276,7 @@ class TestBoundedArena:
         }
         # The bound disables the second insertion available in the raw arena.
         at_bound = e(["3"], "B", counter=1)
-        assert baida.out_labels(at_bound) == {"a"}
+        assert out_labels(baida, at_bound) == {"a"}
 
     def test_counters_follow_the_law(self, demo_scenario):
         baida = construct_baida(counter_variant(demo_scenario, 2))

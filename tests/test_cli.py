@@ -239,6 +239,14 @@ class TestVerify:
             else:
                 assert "stealthy:   no" in out and "verdict: fail" in out
 
+    def test_malformed_strategy_exits_two(self, tmp_path, demo_scenario, capsys):
+        text = format_attack(relay_attack_function(demo_scenario))
+        strategy = tmp_path / "relay.strategy"
+        strategy.write_text(text.replace("mode interruptible\n",
+                                         "mode interruptible\nmode unbounded\n"))
+        assert main(["verify", CFG, "--attack", str(strategy)]) == 2
+        assert f"{strategy}:3: second mode line" in capsys.readouterr().err
+
 
 class TestExportDot:
     @pytest.mark.parametrize("stage", ["plant", "supervisor", "rtilde", "aida", "pruned"])

@@ -8,17 +8,22 @@ from random import Random
 
 import pytest
 
-from enum_reference import reference_check_embedding, reference_enumerate_attackers
+from enum_reference import (
+    reference_check_embedding,
+    reference_enumerate_attackers,
+    reference_point_candidates,
+)
 from sdattack.automata import ModelError
 from sdattack.build import construct_aida, make_scenario
 from sdattack.oracle import (
     EnumBounds,
     OracleBudgetError,
     check_embedding,
+    _point_candidates,
     enumerate_attackers,
 )
 from sdattack.prune import prune_interruptible
-from sdattack.randgen import tiny_scenario
+from sdattack.randgen import random_scenario, tiny_scenario
 from sdattack.synth import AttackFunction, make_attack
 
 MODES = (("interruptible", None), ("unbounded", None), ("bounded", 1), ("bounded", 2))
@@ -99,6 +104,29 @@ def test_initial_burst_past_the_bound_is_enumerated_alike():
         attackers, refusal = outcome(enumerate_attackers(sc, BOUNDS))
         assert refusal is None
         assert any(len(fa.chain_from(fa.f.initial)) > sc.n_a for fa in attackers)
+
+
+def test_point_candidates_match_the_reference():
+    """The initial burst as the reaction with the empty head gives the
+    candidates of the reference, list for list and in order."""
+    modes = [("interruptible", None, True), ("unbounded", None, True)]
+    modes += [("bounded", n_a, bounded) for n_a in (1, 2, 3) for bounded in (True, False)]
+    bases = [tiny_scenario(Random(s), name=f"tiny{s}") for s in range(200)]
+    bases += [random_scenario(Random(s), max_states=3, max_events=3) for s in range(200)]
+    calls = 0
+    for base in bases:
+        points = [None] + [((), e) for e in sorted(base.ea.sigma_o)]
+        for mode, n_a, bounded in modes:
+            sc = replace(base, mode=mode, n_a=n_a, bound_initial_insertions=bounded)
+            # only past n_a + 1 insertions does an unbounded initial burst show that
+            # max_reaction alone caps it
+            for max_reaction in (1, 2, 3) if mode == "bounded" else (1, 2):
+                bounds = EnumBounds(max_reaction=max_reaction)
+                for point in points:
+                    new = _point_candidates(sc, point, bounds)
+                    assert new == reference_point_candidates(sc, point, bounds), (sc, point)
+                    calls += 1
+    assert calls > 25000
 
 
 def test_one_shot_instance(one_shot):

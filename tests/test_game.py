@@ -18,11 +18,10 @@ from sdattack.game import (
     S_SIDE,
     Successors,
     gamma_label,
-    is_race_free,
     is_subsystem,
 )
 
-from arena_reference import from_nodes
+from arena_reference import from_nodes, is_race_free
 from enum_reference import induced_e_state
 from prune_reference import drop_dead_supervisor
 

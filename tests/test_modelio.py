@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from sdattack.automata import Automaton, EventDecl
@@ -26,7 +28,7 @@ from sdattack.modelio import (
 )
 from sdattack.prune import prune_unbounded
 from sdattack.supervisor import DEAD
-from sdattack.synth import synthesize
+from sdattack.synth import relay_attack_function, synthesize
 
 from arena_reference import from_nodes
 
@@ -354,6 +356,31 @@ class TestAttackFormat:
             parse_attack(
                 "strategy\nautomaton f\nstate r initial\n", demo_scenario.ea
             )
+
+    @pytest.mark.parametrize("attack, old, new, message", [
+        ("relay", "mode interruptible", ["mode interruptible", "mode unbounded"],
+         "second mode line"),
+        ("relay", "strategy", ["strategy junk"], "expected: strategy"),
+        ("unbounded", "mode unbounded", ["mode unbounded", "n_a 2 7"], "expected: n_a"),
+        ("relay", "initial_epsilon true", ["initial_epsilon true", "initial_epsilon false"],
+         "second initial_epsilon line"),
+        ("unbounded", "auto E(1,B) b.ins", ["auto E(1,B) b.ins", "auto E(1,B) -"],
+         "second auto line"),
+        ("unbounded", "strategy", [], "expected: strategy"),
+    ], ids=["second-mode", "strategy-junk", "n_a-two-values", "second-initial-epsilon",
+            "second-auto", "no-strategy-header"])
+    def test_malformed_headers_are_refused(self, demo_scenario, attack, old, new, message):
+        # `old` becomes `new`; the error names the line of the last new one
+        if attack == "relay":
+            fa = relay_attack_function(demo_scenario)
+        else:
+            fa = synthesize(replace(demo_scenario, mode="unbounded")).attack
+        lines = format_attack(fa).splitlines()
+        i = lines.index(old)
+        lines[i:i + 1] = new
+        with pytest.raises(ParseError, match=message) as err:
+            parse_attack("\n".join(lines) + "\n", demo_scenario.ea, "f.strategy")
+        assert f"f.strategy:{i + max(len(new), 1)}:" in str(err.value)
 
     def test_unknown_auto_state(self, demo_scenario):
         text = (

@@ -105,10 +105,8 @@ class TestEstimates:
                 nonempty += bool(est)
         assert left_model > 100 and nonempty > 100
 
-    def test_reach_estimate_guards(self, demo_scenario, demo_attack):
+    def test_reach_estimate_guards(self, demo_scenario):
         plant, rt, ea = demo_scenario.plant, demo_scenario.rtilde, demo_scenario.ea
-        with pytest.raises(ValueError):
-            reach_estimate(plant, rt, ea, ("b",), fa=demo_attack)
         with pytest.raises(ModelError):
             reach_estimate(plant, rt, ea, ("a", "x"))
 

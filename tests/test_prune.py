@@ -11,6 +11,7 @@ from sdattack import ClosedLoopConfig, check_problem1, construct_aida, make_scen
 from sdattack.automata import Automaton, EventDecl
 from sdattack.build import Scenario, construct_baida
 from sdattack.game import is_subsystem
+from sdattack.modelio import format_ida, parse_ida
 from sdattack.prune import (
     prune,
     prune_bounded,
@@ -21,7 +22,7 @@ from sdattack.randgen import random_scenario
 from sdattack.supervisor import DEAD
 
 from prune_reference import drop_dead_supervisor, reference_prune, worklist_prune
-from arena_reference import from_nodes
+from arena_reference import from_nodes, out_labels
 
 
 def tokens(ida):
@@ -121,7 +122,7 @@ class TestUnbounded:
 
     def test_flagged_states_keep_insertions_only(self, usda):
         for z in usda.flagged:
-            labels = usda.ida.out_labels(z)
+            labels = out_labels(usda.ida, z)
             assert labels
             assert all(sym.endswith(".ins") for sym in labels)
 
@@ -220,7 +221,8 @@ class TestHaltingPlant:
         assert "E(4,B)" in toks
         assert "E(1,C)" in toks
         assert res.flagged == frozenset()
-        assert res.ida.out_labels(next(n for n in res.ida.nodes if n.token() == "E(4,B)")) == frozenset()
+        halted = next(n for n in res.ida.nodes if n.token() == "E(4,B)")
+        assert out_labels(res.ida, halted) == frozenset()
 
     def test_interruptible_region_contained(self, halting_scenario):
         sc = halting_scenario
@@ -317,6 +319,31 @@ class TestMatchesWorklistReference:
                 assert arrays(got) == arrays(want), (seed, var.mode, var.n_a)
                 again = PRUNERS[var.mode](got.ida, var)
                 assert arrays(again) == arrays(worklist_prune(want.ida, var)), (seed, var.mode)
+
+
+class TestParsedArena:
+    """An arena the library did not build: a state the initial state cannot
+    reach, and one reached only through a dead S-state that has a hop."""
+
+    EXTRA = ["node x0 E plant=1 sup=A", "edge x0 move a n2",  # nothing reaches x0
+             "node x1 E plant=3 sup=A", "edge n10 gamma a x1", "edge x1 move a n2"]
+    X0, X1 = (frozenset({"1"}), "A"), (frozenset({"3"}), "A")  # (plant estimate, supervisor)
+
+    @pytest.mark.parametrize("mode", sorted(PRUNERS))
+    def test_pruning_drops_both(self, demo_scenario, demo_aida, mode):
+        sc = replace(demo_scenario, mode=mode, n_a=1 if mode == "bounded" else None)
+        arena, counter = demo_aida, ""
+        if mode == "bounded":
+            arena, counter = construct_baida(sc, demo_aida), " counter=0"
+        extra = [line + counter if line.startswith("node") else line for line in self.EXTRA]
+        parsed, _ = parse_ida(format_ida(arena) + "\n".join(extra) + "\n", sc.ctx)
+        states = {(parsed.ests[parsed.est[a]], parsed.sup[a]): a for a in range(len(parsed.side))}
+        reached = parsed.reach()
+        assert not reached[states[self.X0]] and reached[states[self.X1]]
+        got, want = PRUNERS[mode](parsed, sc), worklist_prune(parsed, sc)
+        assert arrays(got)[:-1] == arrays(want)[:-1]  # all but `rounds`
+        kept = {(got.ida.ests[got.ida.est[a]], got.ida.sup[a]) for a in range(len(got.ida.side))}
+        assert kept and self.X0 not in kept and self.X1 not in kept
 
 
 class TestEmptyArena:

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import islice
+from random import Random
+
 import pytest
 
-from sdattack.alphabet import EditAlphabet
+from sdattack.alphabet import EditAlphabet, is_inserted
 from sdattack.automata import Automaton, EventDecl, ModelError
 from sdattack.build import Scenario
-from sdattack.modelio import parse_attack
+from sdattack.modelio import format_attack, parse_attack
+from sdattack.oracle import EnumBounds, enumerate_attackers
 from sdattack.prune import prune, prune_interruptible
+from sdattack.randgen import random_scenario, tiny_scenario
 from sdattack.synth import (
     AttackFunction,
     SynthesisError,
     decision_table,
-    evaluate,
     expand_path,
     feasibility,
     initial_reactions,
@@ -22,6 +27,10 @@ from sdattack.synth import (
     shortest_path,
     synthesize,
 )
+
+import literal_reference
+from chains import chain_attack, chain_scenario
+from literal_reference import evaluate
 
 
 def variant(sc, mode, n_a=None, **kw):
@@ -335,3 +344,43 @@ class TestRelay:
         for e in sorted(demo_scenario.ea.sigma_o):
             assert reactions(fa, fa.f.initial, e) == {(e,)}
         assert evaluate(fa, ("a", "b", "c"), "a") == {("a",)}
+
+
+def test_reaction_sets_match_the_reference(demo_scenario):
+    """One tail rule for the initial burst and every reaction gives the
+    sets of the separate rules in `literal_reference`."""
+    modes = [("interruptible", None, True), ("unbounded", None, True),
+             ("bounded", 1, True), ("bounded", 2, True), ("bounded", 1, False)]
+    attackers = []
+    for seed in range(40):
+        base = random_scenario(Random(seed), name=f"rand{seed}")
+        for mode, n_a, bounded in modes:
+            sc = replace(base, mode=mode, n_a=n_a, bound_initial_insertions=bounded)
+            attackers.append(relay_attack_function(sc))
+            try:
+                attackers.append(synthesize(sc).attack)
+            except SynthesisError:
+                continue
+    # a deterministic strategy that says no to the empty initial burst but commits to nothing
+    text = format_attack(synthesize(variant(demo_scenario, "unbounded")).attack)
+    attackers.append(parse_attack(text.replace("initial_epsilon true", "initial_epsilon false"),
+                                  demo_scenario.ea))
+    for seed in range(10):  # enumerated attackers start with every initial burst in reach
+        base = tiny_scenario(Random(seed), name=f"tiny{seed}")
+        for mode, n_a, bounded in modes:
+            sc = replace(base, mode=mode, n_a=n_a, bound_initial_insertions=bounded)
+            attackers += islice(enumerate_attackers(sc, EnumBounds()), 20)
+    for committed in (True, False):  # reactions along chains of insertions
+        attackers += [chain_attack(chain_scenario(committed), n, 3) for n in (5, 12)]
+    attackers = [fa for fa in attackers if fa is not None]
+    assert sum(not fa.deterministic for fa in attackers) > 200
+    assert sum(not fa.initial_epsilon for fa in attackers) > 50
+    assert sum(any(is_inserted(sym) for _, sym in fa.f.trans) for fa in attackers) > 200
+    for fa in attackers:
+        for max_len in (None, 2, 8):
+            assert initial_reactions(fa, max_len) == literal_reference.initial_reactions(
+                fa, max_len)
+            for r in fa.f.states:
+                for e in sorted(fa.ea.sigma_o):
+                    assert reactions(fa, r, e, max_len) == literal_reference.reactions(
+                        fa, r, e, max_len)
