@@ -4,7 +4,10 @@
 force while the supervisor stays consistent: supervisor states issue their
 control decision, environment states branch over genuine observations,
 deletions and insertions.  Exploration stops at detection (supervisor in
-`dead`) and at goal states (estimate inside the critical set).
+`dead`) and at goal states (estimate inside the critical set).  It keys
+states by the kernel's ints (`game.Successors`) and walks their rows of
+moves itself; `aida_maximality_violations` re-derives every row from a
+kernel of its own, keyed the same way.
 
 `construct_baida` walks the same structure with a reaction-length
 counter so that bounded attackers can be pruned on it.
@@ -98,31 +101,38 @@ def construct_aida(sc: Scenario) -> IDA:
     """Breadth-first construction of the full insertion-deletion game.
 
     States are numbered as they are discovered and expanded in that order,
-    so each one's out-edges are appended as its row of the arrays.
-    Detected S-states and goal E-states stay unexpanded.
+    so each one's out-edges are appended as its row of the arrays.  The
+    loop keys states by the kernel's ints and walks each state's row of
+    moves itself, as `Successors.moves` does.  Detected S-states (their
+    row is empty) and goal E-states stay unexpanded.
     """
     succ = Successors(sc.ctx)
-    keys = [succ.initial()]  # (side, estimate, supervisor state) of each state
+    keys = [succ.initial()]  # the kernel's int of each state
     ids = {keys[0]: 0}
     off, lab, dst = [0], [], []
-    ests, x_crit = succ.ests, sc.x_crit
-    i = 0
-    while i < len(keys):
-        side, e, q = keys[i]
-        if side == S_SIDE:
-            edges = [succ.hop(e, q)] if q != DEAD else ()
-        else:
-            edges = zip(*succ.moves(e, q)) if not ests[e] <= x_crit else ()
-        for sym, key in edges:
-            j = ids.get(key)
-            if j is None:
-                j = ids[key] = len(keys)
-                keys.append(key)
-            lab.append(sym)
-            dst.append(j)
+    ests, steps, rows, step, w, x_crit = (succ.ests, succ.steps, succ.rows, succ.step,
+                                          succ.width, sc.x_crit)
+    new, grow = ids.get, keys.append
+    for key in keys:  # grows as states are discovered
+        e, r = divmod(key, w)
+        st = steps[e]
+        for i, sym, to in rows[r] if not (r & 1 and ests[e] <= x_crit) else ():
+            m = e if i < 0 else st[i]
+            if m is None:
+                m = step(e, i)
+            if m >= 0:
+                t = m * w + to
+                j = new(t)
+                if j is None:
+                    j = ids[t] = len(keys)
+                    grow(t)
+                lab.append(sym)
+                dst.append(j)
         off.append(len(lab))
-        i += 1
-    side, est, sup = map(list, zip(*keys))
+    states = succ.rt.automaton.states
+    side = [E_SIDE if key & 1 else S_SIDE for key in keys]
+    est = [key // w for key in keys]
+    sup = [states[key % w >> 1] for key in keys]
     return IDA(f"aida({sc.name})", sc.ctx, succ.syms, ests, side, est, sup,
                [None] * len(side), off, lab, dst, 0, None)
 
@@ -140,26 +150,29 @@ def aida_maximality_violations(ida: IDA, sc: Scenario) -> list[str]:
     """Why the structure is not the full game (empty list means it is).
 
     A kernel of its own, over a copy of the arena's estimate table, derives
-    every state's successors again, and each row of the arrays is compared
-    with them as a whole.  The same pass marks what the initial state
-    reaches, forward in id order; a depth-first search decides only the
-    states it leaves unmarked (none in an arena `construct_aida` or
-    `construct_baida` made).
+    every state's successors again: the pass walks each state's row of the
+    kernel against the stored row, edge by edge, and asks `Successors.moves`
+    for the row only to word a mismatch.  The same pass marks what the
+    initial state reaches, forward in id order; a depth-first search
+    decides only the states it leaves unmarked (none in an arena
+    `construct_aida` or `construct_baida` made).
     """
     succ = Successors(sc.ctx, ida.ests)
     side, est, sup, off, lab, dst = ida.side, ida.est, ida.sup, ida.off, ida.lab, ida.dst
-    n, labels = len(side), ida.syms.labels
-    key = list(zip(side, est, sup))
+    n, labels, w, qids = len(side), ida.syms.labels, succ.width, succ.qids
+    # the kernel's key of each state; a supervisor state it does not know keeps its triple
+    key = [e * w + 2 * qids[q] + (s == E_SIDE) if q in qids else (s, e, q)
+           for s, e, q in zip(side, est, sup)]
     tok = lambda i: ida.node(i).token()  # noqa: E731
     y0, r = succ.initial(), ida.root
     if r < 0 or key[r] != y0 or ida.counter[r] is not None:
-        want = Node(S_SIDE, InformationState(succ.ests[y0[1]], y0[2]))
+        want = Node(S_SIDE, InformationState(succ.ests[y0 // w], sc.rtilde.initial))
         return [f"initial state is {ida.initial.token()}, expected {want.token()}"]
     unique = set(key) if ida.counter.count(None) == n else set(zip(key, ida.counter))
     bad = ["duplicate state entries"] if len(unique) != n else []
 
     goal = [x <= sc.x_crit for x in ida.ests]
-    hop_of, moves_of, target = succ.hop, succ.moves, key.__getitem__
+    moves_of, steps, rows, step = succ.moves, succ.steps, succ.rows, succ.step
     s_bad: list[str] = []
     e_bad: list[str] = []
     reach = [False] * n
@@ -170,33 +183,43 @@ def aida_maximality_violations(ida: IDA, sc: Scenario) -> list[str]:
         if reach[i]:
             for t in row:
                 reach[t] = True
-        if side[i] == S_SIDE:
-            if sup[i] == DEAD:
-                if b > a:
-                    s_bad.append(f"detected state {tok(i)} must be terminal")
-            elif b == a:
-                s_bad.append(f"missing control hop at {tok(i)}")
-            else:
-                hop, want = hop_of(est[i], sup[i])
-                if lab[a] != hop:
-                    s_bad.append(f"wrong decision label at {tok(i)}")
-                if key[row[0]] != want:
-                    s_bad.append(f"wrong control hop target at {tok(i)}")
-        elif goal[est[i]]:
+        s, e = side[i], est[i]
+        if s == S_SIDE and sup[i] == DEAD or s == E_SIDE and goal[e]:
             if b > a:
-                e_bad.append(f"goal state {tok(i)} must be terminal")
+                (s_bad if s == S_SIDE else e_bad).append(
+                    f"{'detected' if s == S_SIDE else 'goal'} state {tok(i)} must be terminal")
+            continue
+        if s == S_SIDE and b == a:
+            s_bad.append(f"missing control hop at {tok(i)}")
+            continue
+        r = 2 * qids[sup[i]] + (s == E_SIDE)
+        st, k = steps[e], a
+        for j, sym, to in rows[r]:  # the kernel's row, compared with the stored one edge by edge
+            m = e if j < 0 else st[j]
+            if m is None:
+                m = step(e, j)
+            if m >= 0:
+                if k == b or lab[k] != sym or key[dst[k]] != m * w + to:
+                    break
+                k += 1
         else:
-            syms, keys = moves_of(est[i], sup[i])
-            if lab[a:b] == syms and list(map(target, row)) == keys:
+            if k == b:
                 continue
-            stored, expected = {labels[s] for s in lab[a:b]}, {labels[s] for s in syms}
-            if stored != expected:
-                missing, extra = sorted(expected - stored), sorted(stored - expected)
-                e_bad.append(f"moves at {tok(i)}: missing {missing}, unexpected {extra}")
-                continue
-            targets = dict(zip(syms, keys))
-            e_bad += [f"wrong target for {labels[lab[k]]!r} at {tok(i)}"
-                      for k in range(a, b) if key[dst[k]] != targets[lab[k]]]
+        syms, keys = moves_of(e, r)
+        if s == S_SIDE:
+            if lab[a] != syms[0]:
+                s_bad.append(f"wrong decision label at {tok(i)}")
+            if key[row[0]] != keys[0]:
+                s_bad.append(f"wrong control hop target at {tok(i)}")
+            continue
+        stored, expected = {labels[s] for s in lab[a:b]}, {labels[s] for s in syms}
+        if stored != expected:
+            missing, extra = sorted(expected - stored), sorted(stored - expected)
+            e_bad.append(f"moves at {tok(i)}: missing {missing}, unexpected {extra}")
+            continue
+        targets = dict(zip(syms, keys))
+        e_bad += [f"wrong target for {labels[lab[k]]!r} at {tok(i)}"
+                  for k in range(a, b) if key[dst[k]] != targets[lab[k]]]
     if not all(reach):  # the forward pass above is exact only when ids follow discovery order
         reach = ida.reach()
         for s in (S_SIDE, E_SIDE):

@@ -8,18 +8,25 @@ plant-state estimate plus the supervisor completion state.  The full game,
 its prunings and their counter-augmented variants are all values of `IDA`,
 which stores them as id-indexed arrays; `Node` objects are made only for
 the callers that ask for one.
+
+The rules are the tables of one kernel, `Successors`, made afresh per
+construction or check: an arena state is the int `(estimate id * n_q +
+supervisor id) * 2 + side`, each supervisor state and side has a row of
+moves, each estimate a list of steps filled on first read, and a race
+requirement is a bit of a mask (feasible events AND enabled events).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Callable
 
 from .alphabet import EditAlphabet, deleted, inserted
-from .automata import Automaton, State, next_states, state_token, unobservable_reach
-from .supervisor import RTilde
+from .automata import Automaton, State, state_token, unobservable_reach
+from .supervisor import DEAD, RTilde
 
 S_SIDE = "S"
 E_SIDE = "E"
@@ -217,18 +224,23 @@ class IDA:
 
         Breadth-first from the initial state, then the states it does not
         reach, S-states first, in id order.  A removed initial state is
-        listed first, as -1 (its row, the last, is empty).
+        listed first, as -1 (its row, the last, is empty).  Rows are sorted
+        by an int per edge, its symbol's rank in label order.
         """
-        label = list(map(self.syms.labels.__getitem__, self.lab)).__getitem__  # of each edge
-        rows = [range(a, b) if b - a < 2 else sorted(range(a, b), key=label)
+        labels, dst = self.syms.labels, self.dst
+        rank = dict(zip(sorted(set(labels)), range(len(labels))))  # equal labels, equal rank
+        by_label = list(map(rank.__getitem__, labels))  # of each symbol
+        key = list(map(by_label.__getitem__, self.lab)).__getitem__  # of each edge
+        rows = [range(a, b) if b - a < 2 else sorted(range(a, b), key=key)
                 for a, b in zip(self.off, self.off[1:])] + [()]
         order, seen = [self.root], [False] * len(rows)
         seen[self.root] = True
         for i in order if self.root >= 0 else ():
             for e in rows[i]:
-                if not seen[self.dst[e]]:
-                    seen[self.dst[e]] = True
-                    order.append(self.dst[e])
+                d = dst[e]
+                if not seen[d]:
+                    seen[d] = True
+                    order.append(d)
         for side in (S_SIDE, E_SIDE):
             order += [i for i, s in enumerate(self.side) if s == side and not seen[i]]
         return order, rows
@@ -272,100 +284,119 @@ class IDA:
 
 
 class Successors:
-    """The successor rules of the game over estimate ids, memoized for one call.
+    """The successor rules of the game as tables, for one construction or check.
+
+    The supervisor completion states are numbered once, in state order
+    (`qids`), and an arena state is one int, `(estimate id * n_q +
+    supervisor id) * 2 + side`, side 0 for an S-state and 1 for an
+    E-state.  `divmod(key, width)`, with `width = 2 * n_q`, splits it into
+    the estimate id and the row `2 * supervisor id + side`.
+
+    `rows[r]` lists the moves of row r as (step, symbol id, row of the
+    target).  An S-state's row holds its control hop (none at `dead`).
+    An E-state's holds, per observable event its decision enables in
+    declaration order, the genuine observation (plant and supervisor
+    move), then where the event is compromised its deletion (the plant
+    moves) and its insertion (the supervisor moves).  A move of estimate e
+    leads to estimate `steps[e][step]`, or stays at e for step -1 (an
+    insertion), and is illegal where that step is -1.  Targets of moves
+    stay unclosed: the next control hop closes them.
 
     Estimates are interned into `ests` (a copy of the given table, so ids
-    agree with its arena): equal estimates are one object and one id.
-    Closures are cached per (estimate, decision), observation steps per
-    (estimate, event).  A kernel lives as long as the construction or check
-    that created it, so every call costs what a one-shot run costs.
+    agree with its arena).  `steps[e]` lists estimate e's steps: one per
+    observable event (`events`), where the observation leads, -1 if the
+    plant cannot execute it; then one per decision, the closure under it.
+    An entry is None until `step` fills it on its first read, so estimates
+    are interned, and numbered, in the order the breadth-first build meets
+    them.
     """
 
-    __slots__ = ("plant", "rt", "ea", "syms", "ests", "_ids", "_closed", "_moved", "_rows")
+    __slots__ = ("plant", "rt", "syms", "events", "qids", "width", "rows", "ests", "steps",
+                 "_ids", "_next", "_gammas", "_reach", "_out", "_enabled", "_feasible")
 
     def __init__(self, ctx: GameContext, ests: list[frozenset[State]] = ()) -> None:
-        self.plant, self.rt, self.ea, self.syms = ctx.plant, ctx.rt, ctx.ea, Symbols(ctx)
+        plant, rt = ctx.plant, ctx.rt
+        self.plant, self.rt, self.syms = plant, rt, Symbols(ctx)
+        ids, sigma_a, states = self.syms.ids, ctx.ea.sigma_a, rt.automaton.states
+        self.events = [d.name for d in plant.events if d.observable]
+        self.qids = {q: i for i, q in enumerate(states)}
+        self.width, self.rows, self._enabled = 2 * len(states), [], []
+        self._gammas = list(dict.fromkeys(map(rt.gamma, states)))  # the decisions
+        self._reach: list[dict] = [{} for _ in self._gammas]  # by decision: x -> its closure
+        steps = {gamma: len(self.events) + k for k, gamma in enumerate(self._gammas)}
+        for q, qid in self.qids.items():
+            gamma, row = rt.gamma(q), []  # each event of `gamma` has a successor
+            for i, ev in enumerate(self.events):
+                if ev in gamma:
+                    nxt = 2 * self.qids[rt.mu(q, ev)]
+                    row.append((i, ids[ev], nxt))
+                    if ev in sigma_a:
+                        row += [(i, ids[deleted(ev)], 2 * qid), (-1, ids[inserted(ev)], nxt)]
+            hop = [(steps[gamma], ids[gamma], 2 * qid + 1)] if q != DEAD else []
+            self.rows += [hop, row]
+            self._enabled.append(sum(1 << i for i, ev in enumerate(self.events) if ev in gamma))
+        index = {ev: i for i, ev in enumerate(self.events)}
+        self._next: list[dict[State, State]] = [{} for _ in self.events]  # by event: x -> y
+        for (x, ev), y in plant.trans.items():
+            if ev in index:
+                self._next[index[ev]][x] = y
+        self._out = {x: sum(1 << i for i, t in enumerate(self._next) if x in t)
+                     for x in plant.states}  # the events a plant state can execute, as bits
         self.ests = list(ests)
         self._ids = {x: i for i, x in enumerate(self.ests)}
-        self._closed: dict[tuple[int, int], int] = {}
-        self._moved: dict[tuple[int, str], int] = {}
-        self._rows: dict[State, tuple] = {}
+        self.steps = [[None] * (len(self.events) + len(self._gammas)) for _ in self.ests]
+        self._feasible: dict[int, int] = {}
 
     def intern(self, est: frozenset[State]) -> int:
         i = self._ids.get(est)
         if i is None:
             i = self._ids[est] = len(self.ests)
             self.ests.append(est)
+            self.steps.append([None] * (len(self.events) + len(self._gammas)))
         return i
 
-    def initial(self) -> tuple[str, int, State]:
-        """Initial S-state (side, estimate, supervisor state): the plant's
-        initial state, unclosed."""
-        return S_SIDE, self.intern(frozenset({self.plant.initial})), self.rt.initial
+    def initial(self) -> int:
+        """Initial S-state: the plant's initial state, unclosed."""
+        e = self.intern(frozenset({self.plant.initial}))
+        return e * self.width + 2 * self.qids[self.rt.initial]
 
-    def _row(self, q: State) -> tuple:
-        """(hop id, decision, moves) at `q`; a move is (event, genuine, deletion
-        and insertion ids, next supervisor state), edit ids -1 if not compromised."""
-        row = self._rows.get(q)
-        if row is None:
-            gamma, ids, moves = self.rt.gamma(q), self.syms.ids, []
-            for d in self.plant.events:
-                ev = d.name
-                if d.observable and ev in gamma:
-                    edit = ev in self.ea.sigma_a
-                    del_id = ids[deleted(ev)] if edit else -1
-                    ins_id = ids[inserted(ev)] if edit else -1
-                    moves.append((ev, ids[ev], del_id, ins_id, self.rt.mu(q, ev)))
-            row = self._rows[q] = (self.syms.hop(gamma), gamma, moves)
-        return row
-
-    def moved(self, est: int, ev: str) -> int:
-        """`next_states` of the estimate on an observation, -1 if infeasible."""
-        key = (est, ev)
-        out = self._moved.get(key)
-        if out is None:
-            nxt = next_states(self.plant, self.ests[est], ev)
-            out = self._moved[key] = self.intern(nxt) if nxt else -1
+    def step(self, e: int, i: int) -> int:
+        """Fill and return `steps[e][i]`."""
+        est, n = self.ests[e], len(self.events)
+        if i < n:
+            t = self._next[i]
+            nxt = frozenset([t[x] for x in est if x in t])
+        else:  # a closure is the union of its members' closures, each made once
+            reach, gamma = self._reach[i - n], self._gammas[i - n]
+            for x in est:
+                if x not in reach:
+                    reach[x] = unobservable_reach(self.plant, (x,), gamma)
+            nxt = frozenset().union(*map(reach.__getitem__, est))
+        out = self.steps[e][i] = self.intern(nxt) if nxt else -1
         return out
 
-    def hop(self, est: int, q: State) -> tuple[int, tuple[str, int, State]]:
-        """Supervisor move: the decision's hop id and the E-state (side,
-        estimate closed under the decision, supervisor state)."""
-        hop, gamma, _ = self._row(q)
-        key = (est, hop)
-        out = self._closed.get(key)
-        if out is None:
-            closed = unobservable_reach(self.plant, self.ests[est], gamma)
-            out = self._closed[key] = self.intern(closed)
-        return hop, (E_SIDE, out, q)
-
-    def moves(self, est: int, q: State) -> tuple[list[int], list[tuple[str, int, State]]]:
-        """Environment moves: symbol ids and S-states (side, estimate, supervisor state).
-
-        Per enabled observable event in declaration order: the genuine
-        observation (plant and supervisor move), its deletion (the plant
-        moves) and its insertion (the supervisor moves), each where legal.
-        Targets stay unclosed: the next control hop closes them.
-        """
-        syms: list[int] = []
-        keys: list[tuple[str, int, State]] = []
-        for ev, genuine, del_id, ins_id, nxt in self._row(q)[2]:
-            moved = self.moved(est, ev)
-            if moved >= 0:
-                if nxt is not None:
-                    syms.append(genuine)
-                    keys.append((S_SIDE, moved, nxt))
-                if del_id >= 0:
-                    syms.append(del_id)
-                    keys.append((S_SIDE, moved, q))
-            if ins_id >= 0 and nxt is not None:
-                syms.append(ins_id)
-                keys.append((S_SIDE, est, nxt))
+    def moves(self, e: int, r: int) -> tuple[list[int], list[int]]:
+        """The legal moves of the state (e, r): symbol ids and target keys,
+        in row order.  `construct_aida` and the audit walk rows the same
+        way, inline."""
+        st, w, syms, keys = self.steps[e], self.width, [], []
+        for i, sym, to in self.rows[r]:
+            m = e if i < 0 else st[i]
+            if m is None:
+                m = self.step(e, i)
+            if m >= 0:
+                syms.append(sym)
+                keys.append(m * w + to)
         return syms, keys
 
-    def race_events(self, est: int, q: State) -> list[str]:
-        """Observations the supervisor enables and the plant can execute."""
-        return [move[0] for move in self._row(q)[2] if self.moved(est, move[0]) >= 0]
+    def race_mask(self, e: int, q: int) -> int:
+        """The race requirements of E-state (e, supervisor id q): the
+        observations q's decision enables and estimate e can execute, bit i
+        for event i.  Interns nothing."""
+        f = self._feasible.get(e)
+        if f is None:
+            f = self._feasible[e] = reduce(or_, map(self._out.__getitem__, self.ests[e]), 0)
+        return f & self._enabled[q]
 
 
 def is_subsystem(small: IDA, big: IDA) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .automata import Automaton, EventDecl, ModelError, State, state_token, stringify_states
-from .build import MODES, Scenario, make_scenario
+from .build import DETERMINISTIC, MODES, Scenario, make_scenario
 from .game import HOP, IDA, GameContext, Symbols
 from .synth import AttackFunction
 
@@ -271,8 +271,8 @@ def format_ida(ida: IDA, flags: frozenset[int] = frozenset()) -> str:
     lines += [f"node {name[i]} {side[i]} plant={plant[est[i]]} sup={tok[sup[i]]}"
               + ("" if counter[i] is None else f" counter={counter[i]}") for i in order]
     lines.append(f"initial {name[ida.root]}")
-    lines += [f"edge {name[i]} {text[ida.lab[e]]} {name[ida.dst[e]]}"
-              for i in order for e in rows[i]]
+    lab, dst = ida.lab, ida.dst
+    lines += [f"edge {name[i]} {text[lab[e]]} {name[dst[e]]}" for i in order for e in rows[i]]
     lines += [f"flag {name[i]}" for i in order if i in flags]
     return "\n".join(lines) + "\n"
 
@@ -384,6 +384,7 @@ def parse_attack(text: str, ea, source: str = "<string>") -> AttackFunction:
     mode: str | None = None
     n_a: int | None = None
     initial_epsilon: bool | None = None
+    eps_line = 0
     auto: dict[State, str | None] = {}
     auto_lines: list[tuple[int, list[str]]] = []
     aut_lines: list[tuple[int, list[str]]] = []
@@ -410,7 +411,7 @@ def parse_attack(text: str, ea, source: str = "<string>") -> AttackFunction:
                 _fail(source, lineno, "second initial_epsilon line")
             if len(fields) != 2:
                 _fail(source, lineno, "expected: initial_epsilon true|false")
-            initial_epsilon = _parse_bool(fields[1], source, lineno)
+            initial_epsilon, eps_line = _parse_bool(fields[1], source, lineno), lineno
         elif kind == "auto":
             auto_lines.append((lineno, fields))
         elif kind == "strategy":
@@ -427,6 +428,11 @@ def parse_attack(text: str, ea, source: str = "<string>") -> AttackFunction:
         if fields[1] in auto:
             _fail(source, lineno, f"second auto line for {fields[1]!r}")
         auto[fields[1]] = None if fields[2] == "-" else fields[2]
+    # a deterministic attacker skips the initial burst exactly when it commits to nothing there
+    first = auto.get(f.initial)
+    if mode in DETERMINISTIC and initial_epsilon is not None and initial_epsilon != (first is None):
+        _fail(source, eps_line, f"initial_epsilon {'true' if initial_epsilon else 'false'} "
+              f"contradicts the commitment {first or '-'!r} at the initial state")
     try:
         return AttackFunction(
             f, mode, ea, n_a=n_a, auto_insert=auto, initial_epsilon=initial_epsilon is not False

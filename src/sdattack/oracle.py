@@ -589,12 +589,25 @@ def _ins_downsets(syms: tuple[str, ...], depth: int) -> list[frozenset[Word]]:
     return sorted(set(out), key=lambda s: (len(s), sorted(s)))
 
 
+_MAX_CANDIDATES = 10**5  # reaction choices one decision point may offer
+
+
+def _downset_count(k: int, depth: int, cap: int) -> int:
+    """`len(_ins_downsets(syms, depth))` for k symbols, or cap + 1 if larger:
+    a downset takes, per symbol, nothing or that symbol before a shallower one."""
+    n = 1
+    for _ in range(depth):
+        n = min((1 + n) ** k, cap + 1)
+    return n
+
+
 def _point_candidates(
     sc, point, bounds: EnumBounds
 ) -> list[frozenset[Word]]:
     """All reaction choices a total strategy may take at one decision point:
     a head, then insertions.  The initial burst has the empty head, and it
-    alone may leave out the empty string."""
+    alone may leave out the empty string.  Raises when the choices, counted
+    in closed form before any is built, exceed `_MAX_CANDIDATES`."""
     ea: EditAlphabet = sc.ea
     ins = tuple(sorted(ea.insertions))
 
@@ -610,6 +623,18 @@ def _point_candidates(
     else:
         heads = [((sym,), counter_step(ea, sc.n_a, 0, sym)) for sym in ea.reaction_heads(point[1])]
     roots = [(head, room(head, counter)) for head, counter in heads]
+    cap = _MAX_CANDIDATES
+    if sc.mode in DETERMINISTIC:  # per head, one chain of up to `depth` insertions
+        count = sum(len(ins) ** l for _, depth in roots for l in range(depth + 1))
+    else:  # per head nothing, or the head and one of its D downsets after it
+        count = 1
+        for _, depth in roots:
+            count = min(count * (1 + _downset_count(len(ins), depth, cap)), cap + 2)
+        # no empty choice; the initial point also offers its D - 1 nonempty
+        # downsets without the empty head
+        count = 2 * count - 3 if point is None else count - 1
+    if count > cap:
+        raise OracleBudgetError(f"more than {cap} reaction choices at one decision point")
     if sc.mode in DETERMINISTIC:
         return [frozenset({head + c}) for head, depth in roots
                 for l in range(depth + 1) for c in itertools.product(ins, repeat=l)]

@@ -21,11 +21,12 @@ Zielonka, TCS 1998; Liu & Smolka, ICALP 1998).  The set-up builds, per
 edge, its state, a `live` byte and the edges grouped by target (a counting
 sort into machine words); per state, whether its supervisor state is
 dead (generation 0 removes those) and, for an E-state, its kind: row
-labels, race events (`Successors.race_events`), at the bound, flagged.  A
-test reads the kind and the row of `live` bytes only, so each verdict is
-computed once per kind and row.  Each generation tests the states whose
-rows changed against the arena the previous one left, so removals and
-flags equal those of testing the whole arena round after round.
+labels, race requirements (the bit mask `Successors.race_mask`), at the
+bound, flagged.  A test reads the kind and the row of `live` bytes only,
+so each verdict is computed once per kind and row.  Each generation
+tests the states whose rows changed against the arena the previous one
+left, so removals and flags equal those of testing the whole arena round
+after round.
 `PruneResult.rounds` counts the generations; the final trim removes what
 the initial state no longer reaches, so on large arenas `rounds` exceeds
 the number of whole-arena rounds to the same fixpoint.
@@ -117,8 +118,10 @@ def _prune_flagging(base: IDA, sc: Scenario, name: str, bound: list[bool]) -> Pr
     n, kinds, ids = len(side), base.syms.kinds, base.syms.ids
     uncontrollable = [k == HOP or (k == GENUINE and ev not in sc.ea.sigma_a)
                       for k, ev in zip(kinds, base.syms.events)]  # by symbol
-    heads = {ev: [ids[h] for h in sc.ea.reaction_heads(ev)] for ev in sc.ea.sigma_o}
-    kind_ids: dict[tuple, int] = {}  # E-state kind (labels, race events, at bound, flagged) -> id
+    succ = Successors(base.ctx, base.ests)
+    race, qids = succ.race_mask, succ.qids
+    heads = [[ids[h] for h in sc.ea.reaction_heads(ev)] for ev in succ.events]  # by event index
+    kind_ids: dict[tuple, int] = {}  # E-state kind (labels, race mask, at bound, flagged) -> id
     kinds_of: list[tuple] = []  # id -> the kind, its uncontrollable moves and each requirement's
     # heads as bit masks (bit 8i: move i), and a byte per move (1: an insertion)
     verdicts: list[dict[bytes, int]] = []  # id -> row of live bytes -> verdict
@@ -138,7 +141,8 @@ def _prune_flagging(base: IDA, sc: Scenario, name: str, bound: list[bool]) -> Pr
             k = kind_ids[kind] = len(kinds_of)
             bits = [(1 << 8 * i, sym) for i, sym in enumerate(kind[0])]
             kinds_of.append((*kind, sum(b for b, sym in bits if uncontrollable[sym]),
-                             [sum(b for b, sym in bits if sym in heads[ev]) for ev in kind[1]],
+                             [sum(b for b, sym in bits if sym in heads[i])
+                              for i in range(len(heads)) if kind[1] >> i & 1],
                              bytes(kinds[sym] == INSERTION for sym in kind[0])))
             full = bytes([1]) * len(bits)
             verdicts.append({full: verdict(k, full)})
@@ -161,10 +165,9 @@ def _prune_flagging(base: IDA, sc: Scenario, name: str, bound: list[bool]) -> Pr
     alive = bytearray(map(ne, sup, repeat(DEAD)))
     removed = list(compress(range(n), map(not_, alive)))  # generation 0: the dead states
     live = bytearray([1]) * len(lab)
-    race = Successors(base.ctx, base.ests).race_events
     kind, start = [-1] * n, []  # start: the E-states that fail with every move alive
     for z in compress(range(n), map(and_, alive, map(eq, side, repeat(E_SIDE)))):
-        kind[z] = k = kind_id((tuple(lab[off[z]:off[z + 1]]), tuple(race(est[z], sup[z])),
+        kind[z] = k = kind_id((tuple(lab[off[z]:off[z + 1]]), race(est[z], qids[sup[z]]),
                                bound[z], False))
         if starts[k]:
             start.append(z)

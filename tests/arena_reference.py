@@ -15,6 +15,14 @@ state's moves through the `Node` views of either arena.
 calls `counter_step` once per edge, on the edge's label.  The counter
 arena of `sdattack.build`, which reads the counter from a table, is
 compared with it array for array.
+
+`TupleSuccessors` is the kernel that keyed arena states by (side,
+estimate id, supervisor state) tuples, and `tuple_construct_aida` the
+builder over it, both verbatim (they were `game.Successors` and
+`build.construct_aida`).  The table kernel and its builder are compared
+with them array for array, estimate table included; `is_race_free`
+and `prune_reference.worklist_prune` read race requirements from
+`TupleSuccessors.race_events`.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from sdattack.game import (
     GameContext,
     InformationState,
     Node,
+    Symbols,
     gamma_label,
 )
 from sdattack.supervisor import DEAD
@@ -76,7 +85,7 @@ def is_race_free(z: Node, ida) -> bool:
     """
     if z.side != E_SIDE:
         raise ModelError("race-freeness is a property of E-states")
-    heads, labels, succ = ida.ctx.ea.reaction_heads, out_labels(ida, z), game.Successors(ida.ctx)
+    heads, labels, succ = ida.ctx.ea.reaction_heads, out_labels(ida, z), TupleSuccessors(ida.ctx)
     events = succ.race_events(succ.intern(z.info.plant), z.info.sup)
     return all(any(sym in labels for sym in heads(ev)) for ev in events)
 
@@ -435,3 +444,133 @@ def walk_baida(sc: Scenario, aida: game.IDA | None = None) -> game.IDA:
     pick = lambda xs: [xs[a] for a in base]  # noqa: E731
     return game.IDA(f"baida({sc.name})", sc.ctx, aida.syms, aida.ests, pick(aida.side),
                     pick(aida.est), pick(aida.sup), counter, off, lab, dst, 0, None)
+
+
+class TupleSuccessors:
+    """The successor rules of the game over estimate ids, memoized for one call.
+
+    Estimates are interned into `ests` (a copy of the given table, so ids
+    agree with its arena): equal estimates are one object and one id.
+    Closures are cached per (estimate, decision), observation steps per
+    (estimate, event).  A kernel lives as long as the construction or check
+    that created it, so every call costs what a one-shot run costs.
+    """
+
+    __slots__ = ("plant", "rt", "ea", "syms", "ests", "_ids", "_closed", "_moved", "_rows")
+
+    def __init__(self, ctx: GameContext, ests: list[frozenset[State]] = ()) -> None:
+        self.plant, self.rt, self.ea, self.syms = ctx.plant, ctx.rt, ctx.ea, Symbols(ctx)
+        self.ests = list(ests)
+        self._ids = {x: i for i, x in enumerate(self.ests)}
+        self._closed: dict[tuple[int, int], int] = {}
+        self._moved: dict[tuple[int, str], int] = {}
+        self._rows: dict[State, tuple] = {}
+
+    def intern(self, est: frozenset[State]) -> int:
+        i = self._ids.get(est)
+        if i is None:
+            i = self._ids[est] = len(self.ests)
+            self.ests.append(est)
+        return i
+
+    def initial(self) -> tuple[str, int, State]:
+        """Initial S-state (side, estimate, supervisor state): the plant's
+        initial state, unclosed."""
+        return S_SIDE, self.intern(frozenset({self.plant.initial})), self.rt.initial
+
+    def _row(self, q: State) -> tuple:
+        """(hop id, decision, moves) at `q`; a move is (event, genuine, deletion
+        and insertion ids, next supervisor state), edit ids -1 if not compromised."""
+        row = self._rows.get(q)
+        if row is None:
+            gamma, ids, moves = self.rt.gamma(q), self.syms.ids, []
+            for d in self.plant.events:
+                ev = d.name
+                if d.observable and ev in gamma:
+                    edit = ev in self.ea.sigma_a
+                    del_id = ids[deleted(ev)] if edit else -1
+                    ins_id = ids[inserted(ev)] if edit else -1
+                    moves.append((ev, ids[ev], del_id, ins_id, self.rt.mu(q, ev)))
+            row = self._rows[q] = (self.syms.hop(gamma), gamma, moves)
+        return row
+
+    def moved(self, est: int, ev: str) -> int:
+        """`next_states` of the estimate on an observation, -1 if infeasible."""
+        key = (est, ev)
+        out = self._moved.get(key)
+        if out is None:
+            nxt = next_states(self.plant, self.ests[est], ev)
+            out = self._moved[key] = self.intern(nxt) if nxt else -1
+        return out
+
+    def hop(self, est: int, q: State) -> tuple[int, tuple[str, int, State]]:
+        """Supervisor move: the decision's hop id and the E-state (side,
+        estimate closed under the decision, supervisor state)."""
+        hop, gamma, _ = self._row(q)
+        key = (est, hop)
+        out = self._closed.get(key)
+        if out is None:
+            closed = unobservable_reach(self.plant, self.ests[est], gamma)
+            out = self._closed[key] = self.intern(closed)
+        return hop, (E_SIDE, out, q)
+
+    def moves(self, est: int, q: State) -> tuple[list[int], list[tuple[str, int, State]]]:
+        """Environment moves: symbol ids and S-states (side, estimate, supervisor state).
+
+        Per enabled observable event in declaration order: the genuine
+        observation (plant and supervisor move), its deletion (the plant
+        moves) and its insertion (the supervisor moves), each where legal.
+        Targets stay unclosed: the next control hop closes them.
+        """
+        syms: list[int] = []
+        keys: list[tuple[str, int, State]] = []
+        for ev, genuine, del_id, ins_id, nxt in self._row(q)[2]:
+            moved = self.moved(est, ev)
+            if moved >= 0:
+                if nxt is not None:
+                    syms.append(genuine)
+                    keys.append((S_SIDE, moved, nxt))
+                if del_id >= 0:
+                    syms.append(del_id)
+                    keys.append((S_SIDE, moved, q))
+            if ins_id >= 0 and nxt is not None:
+                syms.append(ins_id)
+                keys.append((S_SIDE, est, nxt))
+        return syms, keys
+
+    def race_events(self, est: int, q: State) -> list[str]:
+        """Observations the supervisor enables and the plant can execute."""
+        return [move[0] for move in self._row(q)[2] if self.moved(est, move[0]) >= 0]
+
+
+def tuple_construct_aida(sc: Scenario) -> game.IDA:
+    """Breadth-first construction of the full insertion-deletion game.
+
+    States are numbered as they are discovered and expanded in that order,
+    so each one's out-edges are appended as its row of the arrays.
+    Detected S-states and goal E-states stay unexpanded.
+    """
+    succ = TupleSuccessors(sc.ctx)
+    keys = [succ.initial()]  # (side, estimate, supervisor state) of each state
+    ids = {keys[0]: 0}
+    off, lab, dst = [0], [], []
+    ests, x_crit = succ.ests, sc.x_crit
+    i = 0
+    while i < len(keys):
+        side, e, q = keys[i]
+        if side == S_SIDE:
+            edges = [succ.hop(e, q)] if q != DEAD else ()
+        else:
+            edges = zip(*succ.moves(e, q)) if not ests[e] <= x_crit else ()
+        for sym, key in edges:
+            j = ids.get(key)
+            if j is None:
+                j = ids[key] = len(keys)
+                keys.append(key)
+            lab.append(sym)
+            dst.append(j)
+        off.append(len(lab))
+        i += 1
+    side, est, sup = map(list, zip(*keys))
+    return game.IDA(f"aida({sc.name})", sc.ctx, succ.syms, ests, side, est, sup,
+               [None] * len(side), off, lab, dst, 0, None)

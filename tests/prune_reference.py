@@ -22,12 +22,12 @@ from typing import Callable
 from sdattack.alphabet import is_inserted
 from sdattack.build import Scenario
 from sdattack.game import (
-    E_SIDE, GENUINE, HOP, IDA, INSERTION, S_SIDE, Node, Successors,
+    E_SIDE, GENUINE, HOP, IDA, INSERTION, S_SIDE, Node,
 )
 from sdattack.prune import PruneResult
 from sdattack.supervisor import DEAD
 
-from arena_reference import from_nodes, is_race_free, out_labels
+from arena_reference import TupleSuccessors, from_nodes, is_race_free, out_labels
 
 
 def _labels(ida: IDA) -> dict[Node, frozenset[str]]:
@@ -238,7 +238,7 @@ def _worklist_flagging(
         elif alive[s] and uncontrollable[lab[e]]:
             lost_uc[s] += 1
 
-    succ = Successors(base.ctx, base.ests)
+    succ = TupleSuccessors(base.ctx, base.ests)
     heads = {ev: [base.syms.ids[h] for h in sc.ea.reaction_heads(ev)] for ev in sc.ea.sigma_o}
     requirement = _words(m, 0xFF)  # edge -> the requirement it can meet (-1: none)
     met: list[int] = []  # requirement -> live edges meeting it

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,17 @@ class TestVerify:
         assert main(["verify", CFG, "--attack", str(strategy)]) == 2
         assert f"{strategy}:3: second mode line" in capsys.readouterr().err
 
+
+    def test_contradictory_initial_epsilon_exits_two(self, tmp_path, demo_scenario, capsys):
+        cfg = write_variant(tmp_path, demo_scenario, mode="unbounded")
+        fa = synthesize(replace(demo_scenario, mode="unbounded")).attack
+        lines = format_attack(fa).splitlines()
+        i = lines.index("initial_epsilon true")
+        lines[i] = "initial_epsilon false"
+        strategy = tmp_path / "unbounded.strategy"
+        strategy.write_text("\n".join(lines) + "\n")
+        assert main(["verify", cfg, "--attack", str(strategy)]) == 2
+        assert f"{strategy}:{i + 1}: initial_epsilon false contradicts" in capsys.readouterr().err
 
 class TestExportDot:
     @pytest.mark.parametrize("stage", ["plant", "supervisor", "rtilde", "aida", "pruned"])

@@ -38,11 +38,21 @@ def snode(plant, sup) -> Node:
     return Node(S_SIDE, info(plant, sup))
 
 
+def decode(succ, key: int) -> tuple[str, frozenset, object]:
+    """(side, estimate, supervisor state) of one of the kernel's state ints."""
+    e, r = divmod(key, succ.width)
+    return (E_SIDE if r & 1 else S_SIDE), succ.ests[e], succ.rt.automaton.states[r >> 1]
+
+
 def kernel_moves(succ, at: InformationState) -> dict[str, InformationState]:
     """The kernel's environment moves at an information state, by label."""
-    syms, keys = succ.moves(succ.intern(at.plant), at.sup)
-    return {succ.syms.labels[s]: InformationState(succ.ests[e], q)
-            for s, (_, e, q) in zip(syms, keys)}
+    syms, keys = succ.moves(succ.intern(at.plant), 2 * succ.qids[at.sup] + 1)
+    moves = {}
+    for s, key in zip(syms, keys):
+        side, est, q = decode(succ, key)
+        assert side == S_SIDE
+        moves[succ.syms.labels[s]] = InformationState(est, q)
+    return moves
 
 
 def es_successor(sc, at: InformationState, sym: str) -> InformationState | None:
@@ -66,10 +76,10 @@ class TestMoves:
     def test_supervisor_hop(self, demo_scenario):
         sc = demo_scenario
         succ = Successors(sc.ctx)
-        hop, (side, est, sup) = succ.hop(succ.intern(frozenset({"0"})), "A")
+        (hop,), (target,) = succ.moves(succ.intern(frozenset({"0"})), 2 * succ.qids["A"])
         assert succ.syms.events[hop] == {"a"}
         assert succ.syms.labels[hop] == "gamma:a"
-        assert (side, succ.ests[est], sup) == (E_SIDE, {"0"}, "A")
+        assert decode(succ, target) == (E_SIDE, {"0"}, "A")
 
     def test_genuine_guard(self, demo_scenario):
         sc = demo_scenario
@@ -164,8 +174,9 @@ class TestSuccessorKernel:
             for z in construct_aida(sc).e_states:
                 events = sc.rtilde.gamma(z.info.sup) & sc.plant.obs_events
                 want = {ev for ev in events if next_states(sc.plant, z.info.plant, ev)}
-                got = succ.race_events(succ.intern(z.info.plant), z.info.sup)
-                assert len(got) == len(set(got)) and set(got) == want, (seed, z.token())
+                mask = succ.race_mask(succ.intern(z.info.plant), succ.qids[z.info.sup])
+                got = {ev for i, ev in enumerate(succ.events) if mask >> i & 1}
+                assert mask < 1 << len(succ.events) and got == want, (seed, z.token())
 
     def test_equal_estimates_are_one_object(self):
         for seed in range(20):
@@ -175,9 +186,9 @@ class TestSuccessorKernel:
 
     def test_kernel_is_per_call(self, demo_scenario):
         a, b = Successors(demo_scenario.ctx), Successors(demo_scenario.ctx)
-        (_, est_a, q_a), (_, est_b, q_b) = a.initial(), b.initial()
-        assert q_a == q_b and a.ests[est_a] == b.ests[est_b]
-        assert a.ests[est_a] is not b.ests[est_b]
+        (side_a, est_a, q_a), (side_b, est_b, q_b) = decode(a, a.initial()), decode(b, b.initial())
+        assert side_a == side_b == S_SIDE and q_a == q_b and est_a == est_b
+        assert est_a is not est_b
 
 
 class TestStoredHash:

@@ -382,6 +382,41 @@ class TestAttackFormat:
             parse_attack("\n".join(lines) + "\n", demo_scenario.ea, "f.strategy")
         assert f"f.strategy:{i + max(len(new), 1)}:" in str(err.value)
 
+    def test_contradictory_initial_epsilon_is_refused(self, demo_scenario):
+        # the unbounded demo strategy commits to nothing at its initial state
+        fa = synthesize(replace(demo_scenario, mode="unbounded")).attack
+        lines = format_attack(fa).splitlines()
+        i = lines.index("initial_epsilon true")
+        lines[i] = "initial_epsilon false"
+        with pytest.raises(ParseError, match="initial_epsilon false contradicts") as err:
+            parse_attack("\n".join(lines) + "\n", demo_scenario.ea, "f.strategy")
+        assert f"f.strategy:{i + 1}:" in str(err.value)
+        del lines[i]  # a missing line still reads as true
+        assert parse_attack("\n".join(lines) + "\n", demo_scenario.ea).initial_epsilon
+        # an interruptible strategy takes the flag as written
+        relay = format_attack(relay_attack_function(demo_scenario))
+        relay = relay.replace("initial_epsilon true", "initial_epsilon false")
+        assert not parse_attack(relay, demo_scenario.ea).initial_epsilon
+
+    @pytest.mark.parametrize("flag, eps", [("true", None), ("false", False), (None, True)])
+    def test_initial_commitment_needs_initial_epsilon_false(self, demo_scenario, flag, eps):
+        # a strategy that commits to b.ins at its initial state; no line reads as true
+        lines = [
+            "strategy", "mode unbounded", "automaton F", "event a obs unctrl",
+            "event b obs ctrl", "event b.del obs ctrl", "event b.ins obs ctrl",
+            "event c obs ctrl", "state s initial", "state s1", "trans s b.ins s1",
+            "trans s1 a s1", "trans s1 b s1", "trans s1 c s1", "auto s b.ins", "auto s1 -",
+        ]
+        if flag is not None:
+            lines.insert(2, f"initial_epsilon {flag}")
+        text = "\n".join(lines) + "\n"
+        if eps is not None:
+            assert parse_attack(text, demo_scenario.ea).initial_epsilon is eps
+        else:
+            with pytest.raises(ParseError, match="f.strategy:3: initial_epsilon true "
+                               "contradicts the commitment 'b.ins'"):
+                parse_attack(text, demo_scenario.ea, "f.strategy")
+
     def test_unknown_auto_state(self, demo_scenario):
         text = (
             "strategy\n"

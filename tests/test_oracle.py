@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import re
+import time
 from dataclasses import replace
 from random import Random
 
 import pytest
 
+from sdattack import oracle
 from sdattack.alphabet import EditAlphabet, base_event, is_inserted
 from sdattack.automata import (
     Automaton,
@@ -22,7 +24,10 @@ from sdattack.oracle import (
     EnumBounds,
     Explorer,
     OracleBudgetError,
+    _downset_count,
     _has_insertion_cycle,
+    _ins_downsets,
+    _point_candidates,
     check_embedding,
     check_problem1,
     enumerate_attackers,
@@ -393,6 +398,47 @@ class TestEnumeration:
             list(enumerate_attackers(sc, EnumBounds(max_attackers=10)))
         with pytest.raises(OracleBudgetError):
             list(enumerate_attackers(sc, EnumBounds(max_points=1)))
+
+    def test_reaction_choices_are_counted_before_they_are_built(self, monkeypatch):
+        # three insertions, three deep: about 3.9 * 10^8 initial bursts
+        sc = random_scenario(Random(38), max_states=3, max_events=3)
+        assert sc.mode == "interruptible" and len(sc.ea.insertions) == 3
+        start = time.perf_counter()
+        with pytest.raises(OracleBudgetError, match="reaction choices"):
+            _point_candidates(sc, None, EnumBounds(max_reaction=3))
+        assert time.perf_counter() - start < 1.0
+        # the count is the number built: a cap of it builds them, one less refuses
+        modes = [("interruptible", None, True), ("unbounded", None, True),
+                 ("bounded", 1, True), ("bounded", 2, False)]
+        calls = 0
+        for seed in range(40):
+            base = random_scenario(Random(seed), max_states=3, max_events=3)
+            points = [None] + [((), e) for e in sorted(base.ea.sigma_o)]
+            for mode, n_a, bounded in modes:
+                sc = replace(base, mode=mode, n_a=n_a, bound_initial_insertions=bounded)
+                for max_reaction in (1, 2, 3):
+                    bounds = EnumBounds(max_reaction=max_reaction)
+                    for point in points:
+                        monkeypatch.setattr(oracle, "_MAX_CANDIDATES", 10**5)
+                        try:
+                            n = len(_point_candidates(sc, point, bounds))
+                        except OracleBudgetError:
+                            continue
+                        monkeypatch.setattr(oracle, "_MAX_CANDIDATES", n)
+                        assert len(_point_candidates(sc, point, bounds)) == n
+                        monkeypatch.setattr(oracle, "_MAX_CANDIDATES", n - 1)
+                        with pytest.raises(OracleBudgetError):
+                            _point_candidates(sc, point, bounds)
+                        calls += 1
+        assert calls > 1000
+
+    def test_downset_count_is_the_number_built(self):
+        for k in range(4):
+            syms = tuple("abc"[:k])
+            for depth in range(4 if k < 3 else 3):
+                n = len(_ins_downsets(syms, depth))
+                assert _downset_count(k, depth, 10**6) == n
+                assert _downset_count(k, depth, n - 1) == n  # saturates at cap + 1
 
     def test_wide_alphabet_is_refused(self):
         decls = tuple(EventDecl(n, True, True) for n in ("a", "b", "c"))
