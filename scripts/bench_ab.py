@@ -2,10 +2,14 @@
 
     python3 scripts/bench_ab.py --pr N --parent HEAD --pairs 10 --seconds 20 --seed S
 
-Run it from the root of a checkout.  The parent revision is checked out
-with `git worktree add --detach` into a temporary directory, which is
-removed at the end (`--parent-dir` uses an existing checkout instead).
-The change is the working tree the script runs in.  For each workload
+Run it from the root of a checkout.  The parent revision is exported
+with `git archive` into a temporary directory, which is removed at the
+end (`--parent-dir` uses an existing checkout instead).  The change is
+the working tree as it is when the run starts: its tracked and untracked
+files, less those git ignores, are written as a tree object through a
+temporary index (the real index is not touched) and exported the same
+way, so edits made during the run do not reach it.  The report names the
+snapshot by that tree's hash.  For each workload
 (all four by default, or those given with `--workload`) it runs `--pairs`
 pairs of `perfbench/run.py --workload W --seconds S`, pair i on seed
 `--seed` + i for both sides, with the side that goes first alternating.
@@ -23,15 +27,38 @@ script stops without writing.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True, env=env).stdout.strip()
+
+
+def snapshot(tmp: Path) -> str:
+    """The working tree, less what git ignores, as a tree object; its hash."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(tmp / "snapshot-index")}
+    git("add", "--all", ".", env=env)
+    return git("write-tree", env=env)
+
+
+def export(tree_ish: str, dest: Path) -> None:
+    """Write the files of a commit or tree to `dest`."""
+    data = subprocess.run(["git", "archive", "--format=tar", tree_ish], cwd=ROOT,
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest)
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -80,40 +107,37 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
 
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
+        tmp = Path(tmp)
+        tree = snapshot(tmp)
+        export(tree, tmp / "change")
         parent_dir = args.parent_dir
         if parent_dir is None:
-            parent_dir = Path(tmp) / "parent"
-            subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), args.parent],
-                           cwd=ROOT, check=True, capture_output=True)
-        try:
-            rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=parent_dir, check=True,
-                                 capture_output=True, text=True).stdout.strip()
-            sides = {"parent": parent_dir, "change": ROOT}
-            report = {"pr": args.pr, "parent": rev, "change": "working tree",
-                      "host": {"python": platform.python_version(), "machine": platform.machine()},
-                      "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
-                      "workloads": {}}
-            for w in workloads:
-                results = {"parent": [], "change": []}
-                for i in range(args.pairs):
-                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                    for side in order:
-                        results[side].append(run(sides[side], w, args.seed + i, args.seconds, 0))
-                    print(f"{w} pair {i + 1}/{args.pairs}: " + ", ".join(
-                        f"{s} ops_per_s={results[s][-1]['ops_per_s']:.4g}" for s in order),
-                        flush=True)
-                entry = {m["name"]: compare(results["parent"], results["change"], m)
-                         for m in bench["end_to_end"]}
-                if args.traced:
-                    entry["traced"] = {"seed": args.seed, **{
-                        side: run(sides[side], w, args.seed, args.seconds, 1)
-                        for side in ("parent", "change")}}
-                report["workloads"][w] = entry
-        finally:
-            if args.parent_dir is None:
-                subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)],
-                               cwd=ROOT, capture_output=True)
-                subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+            rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+            parent_dir = tmp / "parent"
+            export(rev, parent_dir)
+        else:
+            rev = git("-C", str(parent_dir.resolve()), "rev-parse", "HEAD")
+        sides = {"parent": parent_dir, "change": tmp / "change"}
+        report = {"pr": args.pr, "parent": rev, "change": f"tree {tree}",
+                  "host": {"python": platform.python_version(), "machine": platform.machine()},
+                  "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+                  "workloads": {}}
+        for w in workloads:
+            results = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    results[side].append(run(sides[side], w, args.seed + i, args.seconds, 0))
+                print(f"{w} pair {i + 1}/{args.pairs}: " + ", ".join(
+                    f"{s} ops_per_s={results[s][-1]['ops_per_s']:.4g}" for s in order),
+                    flush=True)
+            entry = {m["name"]: compare(results["parent"], results["change"], m)
+                     for m in bench["end_to_end"]}
+            if args.traced:
+                entry["traced"] = {"seed": args.seed, **{
+                    side: run(sides[side], w, args.seed, args.seconds, 1)
+                    for side in ("parent", "change")}}
+            report["workloads"][w] = entry
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for w, entry in report["workloads"].items():

@@ -430,12 +430,14 @@ def parse_attack(text: str, ea, source: str = "<string>") -> AttackFunction:
         auto[fields[1]] = None if fields[2] == "-" else fields[2]
     # a deterministic attacker skips the initial burst exactly when it commits to nothing there
     first = auto.get(f.initial)
-    if mode in DETERMINISTIC and initial_epsilon is not None and initial_epsilon != (first is None):
+    if initial_epsilon is None:
+        initial_epsilon = mode not in DETERMINISTIC or first is None
+    elif mode in DETERMINISTIC and initial_epsilon != (first is None):
         _fail(source, eps_line, f"initial_epsilon {'true' if initial_epsilon else 'false'} "
               f"contradicts the commitment {first or '-'!r} at the initial state")
     try:
         return AttackFunction(
-            f, mode, ea, n_a=n_a, auto_insert=auto, initial_epsilon=initial_epsilon is not False
+            f, mode, ea, n_a=n_a, auto_insert=auto, initial_epsilon=initial_epsilon
         )
     except ModelError as exc:
         raise ParseError(f"{source}: {exc}") from exc

@@ -15,6 +15,11 @@ of plant, encoder and completion states in token order, so sorting the
 ints sorts them by the tokens of what they stand for: the order macro
 keys list them in and witnesses are searched in.
 
+Tables that depend only on the plant and the completion are made once per
+pair and kept on the completion.  `check_problem1` leaves its observation
+tree on the attack; `check_embedding` walks it, for the same plant and
+completion (by identity) and horizon, instead of exploring again.
+
 The exhaustive enumerator (`enumerate_attackers`) lists every small
 attack strategy as a reaction table and explores the closed loop of each
 table with the same macro steps.  A macro transition reads only the
@@ -131,6 +136,29 @@ def _ranked(aut: Automaton, out: bool = False) -> list:
     return order
 
 
+class _Tables:
+    """The tables of `_MacroSteps` that depend on the plant and completion alone."""
+
+    def __init__(self, plant: Automaton, aut: Automaton) -> None:
+        self.plant = plant
+        self._xs = xs = _ranked(plant)
+        self._qs = qs = _ranked(aut, out=True)
+        self._x_rank = x_rank = {x: i for i, x in enumerate(xs)}
+        q_rank = {q: i for i, q in enumerate(qs)}
+        self._x0, self._q0, self._Q = x_rank[plant.initial], q_rank[aut.initial], len(qs)
+        self._bad = frozenset(q_rank[q] for q in (None, DEAD) if q in q_rank)
+        # per plant state: event -> target; per completion state: event ->
+        # target, the decision, and its unobservable events in name order
+        self._x_succ = _Lazy(lambda x: {e: x_rank[y] for e, y in plant.out_edges(xs[x])})
+        self._mus = _Lazy(lambda q: {
+            d.name: q_rank[None if qs[q] is None else aut.succ(qs[q], d.name)]
+            for d in plant.events
+        })
+        self._gammas = gammas = _Lazy(
+            lambda q: frozenset() if qs[q] is None else aut.out_events(qs[q]))
+        self._unobs = _Lazy(lambda q: tuple(sorted(gammas[q] & plant.unobs_events)))
+
+
 class _MacroSteps:
     """The steps between macro-states, over reaction positions packed in ints.
 
@@ -154,26 +182,17 @@ class _MacroSteps:
     Each step below walks from all its starts at once and, where `_walk`
     keeps `seen`, never past a position it has already walked, so it costs
     time linear in the positions it touches (times the plant states they
-    pair with).
+    pair with).  The tables of the plant and completion (`_Tables`) are
+    made once per pair and shared by every instance on it.
     """
 
     def __init__(self, plant: Automaton, rt: RTilde) -> None:
-        self.plant = plant
         self.rt = rt
-        self._xs = xs = _ranked(plant)
-        self._qs = qs = _ranked(rt.automaton, out=True)
-        self._x_rank = x_rank = {x: i for i, x in enumerate(xs)}
-        q_rank = {q: i for i, q in enumerate(qs)}
-        self._x0, self._q0, self._Q = x_rank[plant.initial], q_rank[rt.initial], len(qs)
-        self._bad = frozenset(q_rank[q] for q in (None, DEAD) if q in q_rank)
-        # per plant state: event -> target; per completion state: event ->
-        # target, the decision, and its unobservable events in name order
-        self._x_succ = _Lazy(lambda x: {e: x_rank[y] for e, y in plant.out_edges(xs[x])})
-        self._mus = _Lazy(lambda q: {
-            d.name: q_rank[None if qs[q] is None else rt.mu(qs[q], d.name)] for d in plant.events
-        })
-        self._gammas = gammas = _Lazy(lambda q: frozenset() if qs[q] is None else rt.gamma(qs[q]))
-        self._unobs = _Lazy(lambda q: tuple(sorted(gammas[q] & plant.unobs_events)))
+        # the entry holds the plant, so no other plant takes its id while it lives
+        tables = rt.loop_tables.get(id(plant))
+        if tables is None:
+            tables = rt.loop_tables[id(plant)] = _Tables(plant, rt.automaton)
+        vars(self).update(vars(tables))
 
     def _stops(self, starts, pending: str | None, msg: str):
         """Endpoints reachable from `starts` past the PRE phase, and `msg`
@@ -433,18 +452,24 @@ class Explorer(_MacroSteps):
     def realizable_observations(self):
         """All observation histories up to the horizon, by tree walk."""
         self.run()
-        stack = [((), self.initial_key)]
-        while stack:
-            obs, key = stack.pop()
-            yield obs
-            if len(obs) >= self.cfg.horizon:
+        yield from _histories(self.plant, self.cfg.horizon, self.initial_key, self.trans)
+
+
+def _histories(plant: Automaton, horizon: int, key, trans: dict):
+    """The observation histories up to `horizon` of the tree that `trans`
+    spans from the macro key `key`, each after its parent."""
+    stack = [((), key)]
+    while stack:
+        obs, key = stack.pop()
+        yield obs
+        if len(obs) >= horizon:
+            continue
+        for d in reversed(plant.events):
+            if not d.observable:
                 continue
-            for d in reversed(self.plant.events):
-                if not d.observable:
-                    continue
-                nxt = self.trans.get((key, d.name))
-                if nxt is not None:
-                    stack.append((obs + (d.name,), nxt))
+            nxt = trans.get((key, d.name))
+            if nxt is not None:
+                stack.append((obs + (d.name,), nxt))
 
 
 def check_problem1(cfg: ClosedLoopConfig, strength: str = "strong") -> Verdict:
@@ -471,6 +496,8 @@ def check_problem1(cfg: ClosedLoopConfig, strength: str = "strong") -> Verdict:
     )
     if verdict.strong_hit and not verdict.weak_hit:
         raise AssertionError("strong hit without weak hit")
+    # the tree does not depend on x_crit; it replaces the attack's last one
+    cfg.attack._tree = (cfg.plant, cfg.rt, cfg.horizon, ex.initial_key, ex.trans)
     return verdict
 
 
@@ -481,11 +508,18 @@ def check_embedding(
 
     Empty result means every prefix of every reachable edit is a defined
     walk of the structure.  `cut` bounds reaction expansion for cyclic
-    encoders; without it a cyclic encoder is refused.
+    encoders; without it a cyclic encoder is refused.  The histories are
+    those of the tree `check_problem1` left on `fa` when its plant,
+    completion and horizon are the structure's; otherwise they are explored.
     """
     if cut is None and _has_insertion_cycle(fa):
         raise OracleBudgetError("cyclic attack encoder: pass an explicit reaction cut")
-    cfg = ClosedLoopConfig(ida.ctx.plant, ida.ctx.rt, fa, horizon)
+    plant, rt = ida.ctx.plant, ida.ctx.rt
+    tree = getattr(fa, "_tree", None)  # left by `check_problem1`
+    if tree is not None and tree[0] is plant and tree[1] is rt and tree[2] == horizon:
+        histories = _histories(plant, horizon, *tree[3:])
+    else:
+        histories = Explorer(ClosedLoopConfig(plant, rt, fa, horizon)).realizable_observations()
     # Each history extends its parent's edited strings by one reaction.  A
     # string carries its encoder state, its E-state (an id, -1 if undefined)
     # and the length of its shortest prefix the game cannot follow (or None).
@@ -493,7 +527,7 @@ def check_embedding(
     start = (fa.f.initial, z0, None if z0 >= 0 else 0)
     carried: dict[Word, dict[Word, tuple]] = {}
     bad: list[tuple[Word, Word]] = []
-    for obs in Explorer(cfg).realizable_observations():  # parents first
+    for obs in histories:  # parents first
         if obs:
             strings: dict[Word, tuple] = {}
             for t3, walked in carried[obs[:-1]].items():
@@ -909,6 +943,9 @@ def enumerate_attackers(
     yielded = 0
     search = _TableSearch(sc, bounds.horizon)
     table = search.table
+    # the choices at a point depend on its observation alone (None at the
+    # initial burst), so each is built once per enumeration
+    choices = _Lazy(lambda e: _point_candidates(sc, None if e is None else ((), e), bounds))
 
     def rec():
         nonlocal yielded
@@ -926,13 +963,13 @@ def enumerate_attackers(
                     raise OracleBudgetError("too many attackers within the bounds")
                 yield fa
                 return
-            for choice in _point_candidates(sc, point, bounds):
+            for choice in choices[point[1]]:
                 table[point] = choice
                 yield from rec()
                 del table[point]
         finally:
             search.pop()
 
-    for init_choice in _point_candidates(sc, None, bounds):
+    for init_choice in choices[None]:
         table[None] = init_choice
         yield from rec()

@@ -89,6 +89,10 @@ class RTilde:
     def initial(self) -> State:
         return self.automaton.initial
 
+    @cached_property
+    def loop_tables(self) -> dict:  # per plant, by id: the tables of `oracle`'s checkers
+        return {}
+
     def gamma(self, q: State) -> frozenset[str]:
         """Control decision at q.  The dead sink keeps uncontrollables enabled."""
         return self.automaton.out_events(q)

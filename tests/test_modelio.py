@@ -391,22 +391,25 @@ class TestAttackFormat:
         with pytest.raises(ParseError, match="initial_epsilon false contradicts") as err:
             parse_attack("\n".join(lines) + "\n", demo_scenario.ea, "f.strategy")
         assert f"f.strategy:{i + 1}:" in str(err.value)
-        del lines[i]  # a missing line still reads as true
+        del lines[i]  # a missing line reads as the commitment says: true
         assert parse_attack("\n".join(lines) + "\n", demo_scenario.ea).initial_epsilon
         # an interruptible strategy takes the flag as written
         relay = format_attack(relay_attack_function(demo_scenario))
         relay = relay.replace("initial_epsilon true", "initial_epsilon false")
         assert not parse_attack(relay, demo_scenario.ea).initial_epsilon
 
-    @pytest.mark.parametrize("flag, eps", [("true", None), ("false", False), (None, True)])
+    # a strategy that commits to b.ins at its initial state
+    COMMITTING = [
+        "strategy", "mode unbounded", "automaton F", "event a obs unctrl",
+        "event b obs ctrl", "event b.del obs ctrl", "event b.ins obs ctrl",
+        "event c obs ctrl", "state s initial", "state s1", "trans s b.ins s1",
+        "trans s1 a s1", "trans s1 b s1", "trans s1 c s1", "auto s b.ins", "auto s1 -",
+    ]
+
+    @pytest.mark.parametrize("flag, eps", [("true", None), ("false", False), (None, False)])
     def test_initial_commitment_needs_initial_epsilon_false(self, demo_scenario, flag, eps):
-        # a strategy that commits to b.ins at its initial state; no line reads as true
-        lines = [
-            "strategy", "mode unbounded", "automaton F", "event a obs unctrl",
-            "event b obs ctrl", "event b.del obs ctrl", "event b.ins obs ctrl",
-            "event c obs ctrl", "state s initial", "state s1", "trans s b.ins s1",
-            "trans s1 a s1", "trans s1 b s1", "trans s1 c s1", "auto s b.ins", "auto s1 -",
-        ]
+        # without a line, the flag follows the commitment
+        lines = list(self.COMMITTING)
         if flag is not None:
             lines.insert(2, f"initial_epsilon {flag}")
         text = "\n".join(lines) + "\n"
@@ -416,6 +419,21 @@ class TestAttackFormat:
             with pytest.raises(ParseError, match="f.strategy:3: initial_epsilon true "
                                "contradicts the commitment 'b.ins'"):
                 parse_attack(text, demo_scenario.ea, "f.strategy")
+
+    @pytest.mark.parametrize("attack", ["committing", "relay", "unbounded"])
+    def test_parse_format_parse_round_trips(self, demo_scenario, attack):
+        # each text without its initial_epsilon line, then as formatted
+        if attack == "committing":
+            text = "\n".join(self.COMMITTING) + "\n"
+        else:
+            fa = relay_attack_function(demo_scenario) if attack == "relay" else synthesize(
+                replace(demo_scenario, mode="unbounded")).attack
+            text = "".join(line for line in format_attack(fa).splitlines(keepends=True)
+                           if not line.startswith("initial_epsilon"))
+        first = parse_attack(text, demo_scenario.ea)
+        again = parse_attack(format_attack(first), demo_scenario.ea)
+        assert again == first
+        assert format_attack(again) == format_attack(first)
 
     def test_unknown_auto_state(self, demo_scenario):
         text = (

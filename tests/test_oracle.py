@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import time
+import weakref
 from dataclasses import replace
 from random import Random
 
@@ -24,6 +25,7 @@ from sdattack.oracle import (
     EnumBounds,
     Explorer,
     OracleBudgetError,
+    _TableSearch,
     _downset_count,
     _has_insertion_cycle,
     _ins_downsets,
@@ -34,12 +36,13 @@ from sdattack.oracle import (
     reach_estimate,
 )
 from sdattack.prune import prune_interruptible
-from sdattack.randgen import random_scenario
+from sdattack.randgen import random_scenario, tiny_scenario
 from sdattack.supervisor import RTilde
 from sdattack.synth import AttackFunction, relay_attack_function, synthesize
 
 from chains import chain_attack, chain_scenario
 from arena_reference import from_nodes
+from enum_reference import reference_check_embedding
 from literal_reference import (
     closed_loop_language,
     fhat_strings,
@@ -352,6 +355,110 @@ class TestEmbedding:
         isda = prune_interruptible(demo_aida, demo_scenario).ida
         with pytest.raises(OracleBudgetError):
             check_embedding(cycle, isda, 3)
+
+
+class TestOneExploration:
+    """`check_embedding` walks the observation tree `check_problem1` left on
+    the attack, and the checkers of one plant and completion share tables."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The explorers whose `run` is called, in order."""
+        out = []
+        run = Explorer.run
+
+        def counted(ex):
+            out.append(ex)
+            run(ex)
+
+        monkeypatch.setattr(Explorer, "run", counted)
+        return out
+
+    def test_embedding_reuses_the_tree(self, demo_scenario, demo_aida, runs):
+        isda = prune_interruptible(demo_aida, demo_scenario).ida
+        fa = synthesize(demo_scenario).attack
+        expected = check_embedding(fa, isda, 6)  # no tree yet: it explores
+        assert len(runs) == 1
+        runs.clear()
+        cfg = ClosedLoopConfig(isda.ctx.plant, isda.ctx.rt, fa, 6, demo_scenario.x_crit)
+        assert check_problem1(cfg).ok("strong")
+        assert check_embedding(fa, isda, 6) == expected == []
+        assert len(runs) == 1
+
+    def test_another_horizon_or_scenario_explores_again(self, demo_scenario, demo_aida, runs):
+        isda = prune_interruptible(demo_aida, demo_scenario).ida
+        other = replace(demo_scenario)  # equal, but a scenario object of its own
+        other_isda = prune_interruptible(construct_aida(other), other).ida
+        assert other_isda.ctx.rt is not isda.ctx.rt
+        fa = synthesize(demo_scenario).attack
+        check_problem1(ClosedLoopConfig(isda.ctx.plant, isda.ctx.rt, fa, 6))
+        assert check_embedding(fa, isda, 5) == check_embedding(fa, other_isda, 6) == []
+        assert len(runs) == 3
+        assert [ex.cfg.horizon for ex in runs] == [6, 5, 6]
+        assert runs[2].rt is other_isda.ctx.rt
+
+    def test_reused_tree_matches_the_reference(self):
+        # the seeds and modes of `test_enum_differential.test_tiny_sweep`
+        nonempty = 0
+        for seed in range(12):
+            base = tiny_scenario(Random(seed), name=f"tiny{seed}")
+            isda = prune_interruptible(construct_aida(base), base).ida
+            plant, rt = isda.ctx.plant, isda.ctx.rt
+            for mode, n_a in (("interruptible", None), ("unbounded", None), ("bounded", 1),
+                              ("bounded", 2)):
+                sc = replace(base, mode=mode, n_a=n_a)
+                attackers = []
+                try:
+                    for fa in enumerate_attackers(sc, EnumBounds(max_attackers=50)):
+                        attackers.append(fa)
+                except OracleBudgetError:
+                    pass
+                for fa in attackers[:: max(1, len(attackers) // 25)]:
+                    for cut in (None, 1):
+                        check_problem1(ClosedLoopConfig(plant, rt, fa, 4, sc.x_crit))
+                        assert fa._tree[0] is plant and fa._tree[1] is rt  # so it is reused
+                        bad = check_embedding(fa, isda, 4, cut)
+                        assert bad == reference_check_embedding(fa, isda, 4, cut)
+                        nonempty += bool(bad)
+        assert nonempty > 0
+
+    def test_the_tree_makes_no_cycle(self, demo_scenario, demo_aida):
+        isda = prune_interruptible(demo_aida, demo_scenario).ida
+        fa = synthesize(demo_scenario).attack
+        check_problem1(ClosedLoopConfig(isda.ctx.plant, isda.ctx.rt, fa, 6))
+        check_embedding(fa, isda, 6)
+        ref = weakref.ref(fa)
+        del fa
+        assert ref() is None
+
+    def test_checkers_of_one_loop_share_tables(self, demo_scenario, demo_cfg):
+        relay = relay_attack_function(demo_scenario)
+        one = Explorer(demo_cfg)
+        two = Explorer(replace(demo_cfg, attack=relay))
+        search = _TableSearch(demo_scenario, 4)
+        tables = demo_scenario.rtilde.loop_tables[id(demo_scenario.plant)]
+        for name in ("_xs", "_qs", "_x_rank", "_bad", "_x_succ", "_mus", "_gammas", "_unobs"):
+            assert getattr(one, name) is getattr(two, name) is getattr(search, name)
+            assert getattr(one, name) is getattr(tables, name)
+        assert one._adv is not two._adv
+
+    def test_another_plant_gets_tables_of_its_own(self):
+        # the twin-token plant of `TestTokenTies` is refused; the
+        # completion's tables for the scenario's plant stay as they were
+        sc = chain_scenario(committed=False)
+        fa = chain_attack(sc, 3)
+        ex = Explorer(ClosedLoopConfig(sc.plant, sc.rtilde, fa, 4, sc.x_crit))
+        twin = TestTokenTies.with_twins(sc.plant, ("{z}", frozenset({"z"})))
+        with pytest.raises(ModelError, match=re.escape("'{z}'")):
+            Explorer(ClosedLoopConfig(twin, sc.rtilde, fa, 4, sc.x_crit))
+        assert list(sc.rtilde.loop_tables) == [id(sc.plant)]
+        assert Explorer(ClosedLoopConfig(sc.plant, sc.rtilde, fa, 4))._mus is ex._mus
+        # an equal plant that is another object gets tables of its own
+        copy = Automaton(sc.plant.name, sc.plant.states, sc.plant.events, sc.plant.trans,
+                         sc.plant.initial)
+        other = Explorer(ClosedLoopConfig(copy, sc.rtilde, fa, 4))
+        assert other._mus is not ex._mus and other._xs == ex._xs
+        assert sc.rtilde.loop_tables[id(copy)].plant is copy
 
 
 class TestEnumeration:
