@@ -11,13 +11,15 @@ the wall time of `construct_aida` and of `prune`, the worklist
 generations of the pruning (`PruneResult.rounds`), the ratio of the two
 times (pruning should take no longer than the build) and the peak
 resident memory (`ru_maxrss`) of the process after them.  It then times
-the other steps of `build-aida`, the maximality audit
-`verify_aida_maximality` and the writer `format_ida`, and prints the
-peak resident memory again, which the writer's text sets.
+the other steps of `build-aida -o`, the maximality audit
+`verify_aida_maximality` and `write_ida`, which streams the chunks of
+`ida_chunks` into a temporary file, and prints the file's size and
+sha256 and the peak resident memory again, after the write.
 """
 
 from __future__ import annotations
 
+import hashlib
 import resource
 import sys
 import tempfile
@@ -30,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (standard library only)
 
 from sdattack.build import construct_aida, verify_aida_maximality  # noqa: E402
-from sdattack.modelio import format_ida, read_scenario  # noqa: E402
+from sdattack.modelio import read_scenario, write_ida  # noqa: E402
 from sdattack.prune import prune  # noqa: E402
 
 
@@ -56,12 +58,18 @@ def main() -> int:
     t2 = time.perf_counter()
     if not verify_aida_maximality(aida, sc):
         raise SystemExit("the arena fails its audit")
-    t3 = time.perf_counter()
-    size = len(format_ida(aida))
-    t4 = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "xl.ida"
+        t3 = time.perf_counter()
+        write_ida(aida, path)
+        t4 = time.perf_counter()
+        peak = rss()
+        with path.open("rb") as f:
+            sha = hashlib.file_digest(f, "sha256").hexdigest()
+        size = path.stat().st_size
     print(f"audit: {t3 - t2:.1f} s")
-    print(f"format: {t4 - t3:.1f} s ({size >> 20} MiB)")
-    print(f"peak rss: {rss()} MB")
+    print(f"write: {t4 - t3:.1f} s ({size >> 20} MiB, sha256 {sha})")
+    print(f"peak rss after the write: {peak} MB")
     return 0
 
 

@@ -8,7 +8,10 @@ enumerated with `EnumBounds(max_attackers=300)`, with and without
 they are yielded (transitions, committed insertions, initial epsilon),
 or the refusal and the number of attackers before it, plus each
 attacker's `check_problem1` verdict at the enumeration horizon and its
-`check_embedding` result in the interruptible pruned arena.
+`check_embedding` result in the interruptible pruned arena.  The check
+runs on that arena's plant and completion objects (equal to the mode
+variant's), so `check_embedding` walks the observation tree that
+`check_problem1` left and each attacker is explored once.
 
 Two checkouts enumerate the same attackers with the same verdicts when
 this script prints the same bytes in both, for example under different
@@ -52,7 +55,7 @@ def enumeration_digest(sc, isda, certifying_only: bool) -> str:
     try:
         for fa in enumerate_attackers(sc, BOUNDS, certifying_only):
             count += 1
-            cfg = ClosedLoopConfig(sc.plant, sc.rtilde, fa, BOUNDS.horizon, sc.x_crit)
+            cfg = ClosedLoopConfig(isda.ctx.plant, isda.ctx.rt, fa, BOUNDS.horizon, sc.x_crit)
             verdict = check_problem1(cfg, sc.strength)
             embedding = check_embedding(fa, isda, BOUNDS.horizon)
             attacker = (sorted(fa.f.trans.items()), sorted(fa.auto_insert.items()),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 from .automata import ModelError
 from .build import construct_aida, nominal_critical_reachable, verify_aida_maximality
@@ -17,7 +17,7 @@ from .modelio import (
     ParseError,
     format_attack,
     format_automaton,
-    format_ida,
+    ida_chunks,
     read_attack,
     read_scenario,
 )
@@ -26,11 +26,12 @@ from .prune import prune
 from .synth import SynthesisError, check_initial_burst, decision_table, synthesize
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -51,7 +52,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_build_rtilde(args: argparse.Namespace) -> int:
     sc = read_scenario(args.config)
-    _emit(format_automaton(sc.rtilde.automaton), args.output)
+    _emit([format_automaton(sc.rtilde.automaton)], args.output)
     return 0
 
 
@@ -61,14 +62,14 @@ def _cmd_build_aida(args: argparse.Namespace) -> int:
     if not verify_aida_maximality(aida, sc):
         print("internal: constructed arena fails its own audit", file=sys.stderr)
         return 3
-    _emit(format_ida(aida), args.output)
+    _emit(ida_chunks(aida), args.output)
     return 0
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
     sc = read_scenario(args.config)
     result = prune(construct_aida(sc), sc)
-    _emit(format_ida(result.ida, result.flags), args.output)
+    _emit(ida_chunks(result.ida, result.flags), args.output)
     return 0
 
 
@@ -79,7 +80,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         print(f"scenario {sc.name}: no {sc.strength} attack in mode {sc.mode}")
         return 1
     assert result.attack is not None and result.target is not None
-    _emit(format_attack(result.attack), args.output)
+    _emit([format_attack(result.attack)], args.output)
     if args.output not in (None, "-"):
         print(f"scenario {sc.name}: attack written to {args.output}")
         print(f"  goal state: {result.target.token()}, path length {len(result.path)}")
@@ -137,7 +138,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     else:
         result = prune(construct_aida(sc), sc)
         text = ida_dot(result.ida, result.flags, sc.x_crit)
-    _emit(text, args.output)
+    _emit([text], args.output)
     return 0
 
 

@@ -49,7 +49,7 @@ def ida_dot(
     x_crit: frozenset[State] = frozenset(),
 ) -> str:
     """Graphviz view of the arena; `flags` are ids of `ida`."""
-    order, rows = ida.listing()
+    order, sort, sorts = ida.listing()
     ids = {i: f"n{k}" for k, i in enumerate(order)}
     lines = [
         "digraph {",
@@ -77,7 +77,7 @@ def ida_dot(
     lines.append(f"  __init -> {ids[ida.root]};")
     kinds, labels = ida.syms.kinds, ida.syms.labels
     for i in order:
-        for e in rows[i]:
+        for e in map(ida.off[i].__add__, sorts[sort[i]]):
             sym, tgt = ida.lab[e], ids[ida.dst[e]]
             color = _COLORS.get(kinds[sym], "black")
             lines.append(f'  {ids[i]} -> {tgt} [label="{_esc(labels[sym])}", color="{color}"];')

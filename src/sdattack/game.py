@@ -18,6 +18,7 @@ requirement is a bit of a mask (feasible events AND enabled events).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
@@ -219,31 +220,39 @@ class IDA:
                     stack.append(dst[e])
         return seen
 
-    def listing(self) -> tuple[list[int], list]:
+    def listing(self) -> tuple[list[int], array, list[tuple[int, ...]]]:
         """The order the writers list states in, and each state's out-edges by label.
 
         Breadth-first from the initial state, then the states it does not
         reach, S-states first, in id order.  A removed initial state is
-        listed first, as -1 (its row, the last, is empty).  Rows are sorted
-        by an int per edge, its symbol's rank in label order.
-        """
-        labels, dst = self.syms.labels, self.dst
+        listed first, as -1 (its row is empty).  State i's out-edges by
+        label are `off[i] + k` for k in `sorts[sort[i]]`: one sort per
+        distinct tuple of symbols, by each symbol's rank in label order."""
+        labels, off, lab, dst = self.syms.labels, self.off, self.lab, self.dst
         rank = dict(zip(sorted(set(labels)), range(len(labels))))  # equal labels, equal rank
         by_label = list(map(rank.__getitem__, labels))  # of each symbol
-        key = list(map(by_label.__getitem__, self.lab)).__getitem__  # of each edge
-        rows = [range(a, b) if b - a < 2 else sorted(range(a, b), key=key)
-                for a, b in zip(self.off, self.off[1:])] + [()]
-        order, seen = [self.root], [False] * len(rows)
+        sorts, ids = [(), (0,)], {}  # rows of length 0 and 1 need no sort
+        sort = array("i", [*map(int.__sub__, off[1:], off), 0])
+        for i, (a, b) in enumerate(zip(off, off[1:])):
+            if b - a > 1:
+                row = tuple(lab[a:b])
+                k = ids.get(row)
+                if k is None:
+                    k = ids[row] = len(sorts)
+                    sorts.append(tuple(sorted(range(b - a), key=lambda j: by_label[row[j]])))
+                sort[i] = k
+        order, seen = [self.root], bytearray(len(off))
         seen[self.root] = True
         for i in order if self.root >= 0 else ():
-            for e in rows[i]:
-                d = dst[e]
+            a = off[i]
+            for k in sorts[sort[i]]:
+                d = dst[a + k]
                 if not seen[d]:
                     seen[d] = True
                     order.append(d)
         for side in (S_SIDE, E_SIDE):
             order += [i for i, s in enumerate(self.side) if s == side and not seen[i]]
-        return order, rows
+        return order, sort, sorts
 
     _VIEWS = ("s_states", "e_states", "nodes", "h_se", "h_es", "es_adj")
 

@@ -13,6 +13,8 @@ so equal objects serialize to identical bytes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from .automata import Automaton, EventDecl, ModelError, State, state_token, stringify_states
@@ -25,16 +27,14 @@ class ParseError(ModelError):
     """A text artifact is malformed; the message carries file and line."""
 
 
-def _lex(text: str, source: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line.split()))
-    if not out:
+def _lex(text: str, source: str) -> tuple[int, Iterator[tuple[int, list[str]]]]:
+    """The first content line's number, and the content lines as (number, fields), lazily."""
+    lines = ((n, f) for n, f in enumerate(map(str.split, text.splitlines()), 1)
+             if f and f[0][0] != "#")
+    head = next(lines, None)
+    if head is None:
         raise ParseError(f"{source}:1: empty input")
-    return out
+    return head[0], chain((head,), lines)
 
 
 def _fail(source: str, lineno: int, msg: str) -> None:
@@ -49,10 +49,11 @@ _CTRL = {"ctrl": True, "unctrl": False}
 
 
 def parse_automaton(text: str, source: str = "<string>") -> Automaton:
-    return _parse_automaton_lines(_lex(text, source), source)
+    return _parse_automaton_lines(*_lex(text, source), source)
 
 
-def _parse_automaton_lines(lines: list[tuple[int, list[str]]], source: str) -> Automaton:
+def _parse_automaton_lines(head: int, lines: Iterable, source: str) -> Automaton:
+    """The automaton of `lines`; header errors cite line `head`."""
     name: str | None = None
     events: list[EventDecl] = []
     states: list[str] = []
@@ -102,9 +103,9 @@ def _parse_automaton_lines(lines: list[tuple[int, list[str]]], source: str) -> A
         else:
             _fail(source, lineno, f"unknown directive {kind!r}")
     if name is None:
-        _fail(source, lines[0][0], "missing automaton header")
+        _fail(source, head, "missing automaton header")
     if initial is None:
-        _fail(source, lines[0][0], "no state marked initial")
+        _fail(source, head, "no state marked initial")
     try:
         return Automaton(name, tuple(states), tuple(events), trans, initial)
     except ModelError as exc:
@@ -252,9 +253,13 @@ def format_scenario_config(
 # ---------------------------------------------------------------------------
 # arenas
 
-def format_ida(ida: IDA, flags: frozenset[int] = frozenset()) -> str:
-    """The arena as text, in `IDA.listing` order; `flags` are ids of `ida`."""
-    order, rows = ida.listing()
+CHUNK_ROWS = 4096  # states per chunk of `ida_chunks`
+
+
+def ida_chunks(ida: IDA, flags: frozenset[int] = frozenset()) -> Iterator[str]:
+    """The arena as text, in `IDA.listing` order; `flags` are ids of `ida`.  After the
+    header, a chunk holds the node, edge or flag lines of at most `CHUNK_ROWS` states."""
+    order, sort, sorts = ida.listing()
     side, est, sup, counter, ests = ida.side, ida.est, ida.sup, ida.counter, ida.ests
     if ida.root < 0:  # a removed initial state is still written: as id -1, the last
         a = ida.initial
@@ -267,21 +272,35 @@ def format_ida(ida: IDA, flags: frozenset[int] = frozenset()) -> str:
     tok = {q: state_token(q) for q in set(sup)}
     text = [f"move {label}" if kind != HOP else "gamma " + (",".join(sorted(ev)) or "-")
             for kind, label, ev in zip(ida.syms.kinds, ida.syms.labels, ida.syms.events)]
-    lines = [f"ida {ida.name}"]
-    lines += [f"node {name[i]} {side[i]} plant={plant[est[i]]} sup={tok[sup[i]]}"
-              + ("" if counter[i] is None else f" counter={counter[i]}") for i in order]
-    lines.append(f"initial {name[ida.root]}")
-    lab, dst = ida.lab, ida.dst
-    lines += [f"edge {name[i]} {text[lab[e]]} {name[dst[e]]}" for i in order for e in rows[i]]
-    lines += [f"flag {name[i]}" for i in order if i in flags]
-    return "\n".join(lines) + "\n"
+    off, lab, dst, step = ida.off, ida.lab, ida.dst, CHUNK_ROWS
+    parts = [order[s:s + step] for s in range(0, len(order), step)]
+    yield f"ida {ida.name}\n"
+    for part in parts:
+        yield "".join([f"node {name[i]} {side[i]} plant={plant[est[i]]} sup={tok[sup[i]]}"
+                       + ("\n" if counter[i] is None else f" counter={counter[i]}\n")
+                       for i in part])
+    yield f"initial {name[ida.root]}\n"
+    for part in parts:
+        lines = []
+        for i in part:
+            a, src = off[i], name[i]
+            for k in sorts[sort[i]]:
+                lines.append(f"edge {src} {text[lab[a + k]]} {name[dst[a + k]]}\n")
+        yield "".join(lines)
+    for part in parts if flags else ():
+        yield "".join([f"flag {name[i]}\n" for i in part if i in flags])
+
+
+def format_ida(ida: IDA, flags: frozenset[int] = frozenset()) -> str:
+    """The arena as text, the chunks of `ida_chunks` joined."""
+    return "".join(ida_chunks(ida, flags))
 
 
 def parse_ida(
     text: str, ctx: GameContext, source: str = "<string>"
 ) -> tuple[IDA, frozenset[int]]:
     """An arena written by `format_ida`, with ids in file order, and its flagged ids."""
-    lines = _lex(text, source)
+    head, lines = _lex(text, source)
     name: str | None = None
     syms = Symbols(ctx)
     nodes: dict[str, int] = {}
@@ -346,9 +365,9 @@ def parse_ida(
         else:
             _fail(source, lineno, f"unknown directive {kind!r}")
     if name is None:
-        _fail(source, lines[0][0], "missing ida header")
+        _fail(source, head, "missing ida header")
     if initial is None:
-        _fail(source, lines[0][0], "missing initial line")
+        _fail(source, head, "missing initial line")
     return IDA.from_rows(name, ctx, syms, list(ests), states, rows, initial), frozenset(flags)
 
 
@@ -358,7 +377,8 @@ def read_ida(path: str | Path, ctx: GameContext) -> tuple[IDA, frozenset[int]]:
 
 
 def write_ida(ida: IDA, path: str | Path, flags: frozenset[int] = frozenset()) -> None:
-    Path(path).write_text(format_ida(ida, flags), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(ida_chunks(ida, flags))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +400,9 @@ def format_attack(fa: AttackFunction) -> str:
 
 
 def parse_attack(text: str, ea, source: str = "<string>") -> AttackFunction:
-    lines = _lex(text, source)
+    head, lines = _lex(text, source)
+    if next(lines)[1] != ["strategy"]:
+        _fail(source, head, "expected: strategy")
     mode: str | None = None
     n_a: int | None = None
     initial_epsilon: bool | None = None
@@ -388,9 +410,7 @@ def parse_attack(text: str, ea, source: str = "<string>") -> AttackFunction:
     auto: dict[State, str | None] = {}
     auto_lines: list[tuple[int, list[str]]] = []
     aut_lines: list[tuple[int, list[str]]] = []
-    if lines[0][1] != ["strategy"]:
-        _fail(source, lines[0][0], "expected: strategy")
-    for lineno, fields in lines[1:]:
+    for lineno, fields in lines:
         kind = fields[0]
         if kind == "mode":
             if mode is not None:
@@ -419,8 +439,8 @@ def parse_attack(text: str, ea, source: str = "<string>") -> AttackFunction:
         else:
             aut_lines.append((lineno, fields))
     if mode is None:
-        _fail(source, lines[0][0], "missing mode line")
-    f = _parse_automaton_lines(aut_lines, source)
+        _fail(source, head, "missing mode line")
+    f = _parse_automaton_lines(aut_lines[0][0] if aut_lines else head, aut_lines, source)
     state_set = set(f.states)
     for lineno, fields in auto_lines:
         if len(fields) != 3 or fields[1] not in state_set:

@@ -248,6 +248,11 @@ class TestVerify:
         assert main(["verify", CFG, "--attack", str(strategy)]) == 2
         assert f"{strategy}:3: second mode line" in capsys.readouterr().err
 
+    def test_strategy_without_automaton_exits_two(self, tmp_path, capsys):
+        strategy = tmp_path / "bare.strategy"
+        strategy.write_text("strategy\nmode interruptible\n")
+        assert main(["verify", CFG, "--attack", str(strategy)]) == 2
+        assert f"{strategy}:1: missing automaton header" in capsys.readouterr().err
 
     def test_contradictory_initial_epsilon_exits_two(self, tmp_path, demo_scenario, capsys):
         cfg = write_variant(tmp_path, demo_scenario, mode="unbounded")

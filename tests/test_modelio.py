@@ -447,6 +447,46 @@ class TestAttackFormat:
             parse_attack(text, demo_scenario.ea)
 
 
+class TestHeaderErrorLines:
+    """Header errors cite the first content line of the file (or of the
+    embedded automaton), after leading comments and blank lines."""
+
+    def parse(self, kind, text, demo_scenario):
+        if kind == "automaton":
+            return parse_automaton(text, "f")
+        if kind == "ida":
+            return parse_ida(text, demo_scenario.ctx, "f")
+        return parse_attack(text, demo_scenario.ea, "f")
+
+    @pytest.mark.parametrize("kind, text, message, line", [
+        ("automaton", "# c\n\nevent a obs ctrl\nstate 0 initial\n",
+         "missing automaton header", 3),
+        ("automaton", "# c\n\n  \nautomaton m\nstate 0\n", "no state marked initial", 4),
+        ("ida", "# c\n\nnode n0 S plant=0 sup=A\ninitial n0\n", "missing ida header", 3),
+        ("ida", "# c\nida x\nnode n0 S plant=0 sup=A\n", "missing initial line", 2),
+        ("attack", "# c\n\nstrategy\nautomaton f\nstate r initial\n", "missing mode line", 3),
+        ("attack", "# c\nautomaton f\n", "expected: strategy", 2),
+        ("attack", "# c\nstrategy\nmode unbounded\n\nevent b obs ctrl\nstate r initial\n",
+         "missing automaton header", 5),
+        ("attack", "strategy\nmode unbounded\n# c\nautomaton f\nstate r\n",
+         "no state marked initial", 4),
+        ("automaton", "# only\n\n# comments\n", "empty input", 1),
+        ("ida", "# only\n\n# comments\n", "empty input", 1),
+        ("attack", "# only\n\n# comments\n", "empty input", 1),
+        # no automaton line at all: the error cites the strategy header
+        ("attack", "strategy\nmode interruptible\n", "missing automaton header", 1),
+        ("attack", "# c\n\nstrategy\nmode unbounded\nauto r -\n", "missing automaton header", 3),
+    ], ids=["automaton-header", "automaton-initial", "ida-header", "ida-initial", "attack-mode",
+            "attack-strategy", "attack-automaton-header", "attack-automaton-initial",
+            "automaton-empty", "ida-empty", "attack-empty", "attack-no-automaton",
+            "attack-no-automaton-after-comments"])
+    def test_header_errors_cite_the_first_content_line(
+        self, demo_scenario, kind, text, message, line
+    ):
+        with pytest.raises(ParseError, match=f"^f:{line}: {message}"):
+            self.parse(kind, text, demo_scenario)
+
+
 class TestDeterminism:
     def test_formatting_is_reproducible(self, demo_scenario, demo_aida):
         assert format_ida(demo_aida) == format_ida(construct_aida(demo_scenario))
